@@ -47,6 +47,8 @@ func (a *ADC) LSB() phys.Voltage {
 
 // Quantize converts v to the nearest code and back, clamping at the
 // rails — the value the digital side of the platform actually sees.
+//
+//advdiag:hotpath
 func (a *ADC) Quantize(v phys.Voltage) phys.Voltage {
 	fs := float64(a.FullScale)
 	x := float64(v)

@@ -348,3 +348,40 @@ func TestChainValidateCatchesMissingStage(t *testing.T) {
 		t.Fatal("missing readout must fail validation")
 	}
 }
+
+// benchSink keeps the benchmarked samples observable to the compiler.
+var benchSink float64
+
+func BenchmarkFlickerNoiseSample(b *testing.B) {
+	f := NewFlickerNoise(1, 16, mathx.NewRNG(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink += f.Sample()
+	}
+}
+
+func TestFlickerNoiseSampleAllocFree(t *testing.T) {
+	f := NewFlickerNoise(1, 16, mathx.NewRNG(1))
+	if allocs := testing.AllocsPerRun(1000, func() { benchSink += f.Sample() }); allocs != 0 {
+		t.Fatalf("FlickerNoise.Sample allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkChainDigitize measures one cell-current sample through the
+// oxidase catalog chain: noise, TIA and ADC.
+func BenchmarkChainDigitize(b *testing.B) {
+	c := NewOxidaseChain(nil, mathx.NewRNG(1))
+	c.Reset(0.1)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink += float64(c.Digitize(phys.MicroAmps(1)))
+	}
+}
+
+func TestChainDigitizeAllocFree(t *testing.T) {
+	c := NewOxidaseChain(nil, mathx.NewRNG(1))
+	c.Reset(0.1)
+	if allocs := testing.AllocsPerRun(1000, func() { benchSink += float64(c.Digitize(phys.MicroAmps(1))) }); allocs != 0 {
+		t.Fatalf("Chain.Digitize allocates %.0f objects per call, want 0", allocs)
+	}
+}

@@ -127,6 +127,8 @@ func (c *Chain) ApplyPotential(target phys.Voltage) phys.Voltage {
 
 // Digitize processes one cell-current sample through mux, noise, TIA and
 // ADC, returning the recorded voltage.
+//
+//advdiag:hotpath
 func (c *Chain) Digitize(i phys.Current) phys.Voltage {
 	if c.Mux != nil {
 		i = c.Mux.Pass(i)

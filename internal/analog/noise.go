@@ -61,6 +61,8 @@ func NewFlickerNoise(sigma float64, rows int, rng *mathx.RNG) *FlickerNoise {
 }
 
 // Sample returns the next noise value.
+//
+//advdiag:hotpath
 func (f *FlickerNoise) Sample() float64 {
 	if f.Sigma <= 0 {
 		return 0
@@ -133,6 +135,8 @@ func (n *NoiseModel) EnableChopper(on bool) {
 }
 
 // Sample returns the next input-referred noise current.
+//
+//advdiag:hotpath
 func (n *NoiseModel) Sample() float64 {
 	if n == nil {
 		return 0

@@ -60,6 +60,8 @@ func (t *TIA) Reset(dt float64) {
 
 // Convert processes one current sample into the output voltage,
 // applying the transimpedance, saturation and the bandwidth pole.
+//
+//advdiag:hotpath
 func (t *TIA) Convert(i phys.Current) phys.Voltage {
 	v := -float64(i) * float64(t.Feedback)
 	sat := float64(t.Saturation)

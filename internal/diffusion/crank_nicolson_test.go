@@ -182,16 +182,36 @@ func TestDegenerateConfigs(t *testing.T) {
 	}
 }
 
-// TestStepAllocFree pins the tentpole property: the steady-state
-// stepping loop performs zero allocations.
-func TestStepAllocFree(t *testing.T) {
+// stepBenchSim returns a started solver for the Step benchmark and its
+// allocation test.
+func stepBenchSim(tb testing.TB) *CoupleSim {
+	tb.Helper()
 	sim, err := New(Config{
 		Kinetics: fastKinetics(0), Diffusion: 5e-10, BulkO: 1,
 		TotalTime: 10, Dt: 0.05,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sim
+}
+
+// stepSink keeps the benchmarked fluxes observable to the compiler.
+var stepSink float64
+
+func BenchmarkCoupleSimStep(b *testing.B) {
+	sim := stepBenchSim(b)
+	sim.Step(phys.MilliVolts(-100)) // startup smoothing
+	b.ReportAllocs()
+	for b.Loop() {
+		stepSink += sim.Step(phys.MilliVolts(-300))
+	}
+}
+
+// TestStepAllocFree pins the tentpole property: the steady-state
+// stepping loop performs zero allocations.
+func TestStepAllocFree(t *testing.T) {
+	sim := stepBenchSim(t)
 	sim.Step(phys.MilliVolts(-100)) // startup smoothing
 	if allocs := testing.AllocsPerRun(200, func() {
 		sim.Step(phys.MilliVolts(-300))

@@ -154,8 +154,19 @@ func (dl DoubleLayer) ChargingCurrent(dE phys.Voltage, t float64) phys.Current {
 		return 0
 	}
 	tau := float64(dl.Rs) * float64(dl.C)
-	return phys.Current(float64(dE) / float64(dl.Rs) * math.Exp(-t/tau))
+	x := -t / tau
+	if x < expUnderflow {
+		// τ is microseconds against sample steps of ~0.1 s, so the
+		// transient has long underflowed: math.Exp would return +0,
+		// and the product below keeps the sign it would have had.
+		return phys.Current(float64(dE) / float64(dl.Rs) * 0)
+	}
+	return phys.Current(float64(dE) / float64(dl.Rs) * math.Exp(x))
 }
+
+// expUnderflow is the argument below which math.Exp returns 0 (its
+// documented underflow threshold, −1075·ln 2).
+const expUnderflow = -7.45133219101941108420e+02
 
 // SweepChargingCurrent returns the steady capacitive current under a
 // linear sweep at rate v: I = C·v.

@@ -192,3 +192,52 @@ func TestDoubleLayer(t *testing.T) {
 		t.Fatal("gain must scale capacitance")
 	}
 }
+
+// TestChargingCurrentUnderflowEarlyOut pins the underflow short cut:
+// ChargingCurrent returns bit-for-bit what (dE/Rs)·math.Exp(−t/τ)
+// gives, signed zero included, on both sides of math.Exp's underflow
+// threshold, and a slow (large-τ) transient still takes the exp path.
+func TestChargingCurrentUnderflowEarlyOut(t *testing.T) {
+	ref := func(dl DoubleLayer, dE phys.Voltage, tt float64) float64 {
+		tau := float64(dl.Rs) * float64(dl.C)
+		return float64(dE) / float64(dl.Rs) * math.Exp(-tt/tau)
+	}
+	// τ = 1 s puts −t/τ exactly at −t, so the probes can straddle the
+	// threshold ulp by ulp.
+	unit := DoubleLayer{C: 1e-3, Rs: 1000}
+	var times []float64
+	edge := -expUnderflow
+	lo, hi := edge, edge
+	for k := 0; k < 4; k++ {
+		times = append(times, lo, hi)
+		lo = math.Nextafter(lo, 0)
+		hi = math.Nextafter(hi, math.Inf(1))
+	}
+	times = append(times, 0, 1, 700, 744.5, 745.5, 746, 1e3, 1e6, math.Inf(1))
+	for _, dE := range []phys.Voltage{0.5, -0.5, 0, phys.Voltage(math.Copysign(0, -1))} {
+		for _, tt := range times {
+			got, want := float64(unit.ChargingCurrent(dE, tt)), ref(unit, dE, tt)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dE=%g t=%.17g: got %g (bits %#x), want %g (bits %#x)",
+					float64(dE), tt, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	if got := unit.ChargingCurrent(-0.5, 1e3); got != 0 || !math.Signbit(float64(got)) {
+		t.Fatalf("underflowed negative step gives %g, want −0", float64(got))
+	}
+	// The platform's electrodes: τ of microseconds, samples 0.1 s apart.
+	dl := DoubleLayerFor(phys.SquareMillimetres(0.23), 1, 1000)
+	for _, tt := range []float64{0.05, 0.15, 1.05, 30} {
+		if got, want := float64(dl.ChargingCurrent(0.65, tt)), ref(dl, 0.65, tt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("platform double layer t=%g: got %g, want %g", tt, got, want)
+		}
+	}
+	// Large τ (1000 s): −t/τ is −0.1, far above the threshold, so the
+	// current must come from math.Exp and stay finite and non-zero.
+	slow := DoubleLayer{C: 1, Rs: 1000}
+	got := float64(slow.ChargingCurrent(0.5, 100))
+	if want := ref(slow, 0.5, 100); got != want || got == 0 {
+		t.Fatalf("large-τ charging current %g, want %g (non-zero)", got, want)
+	}
+}

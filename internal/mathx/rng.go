@@ -59,6 +59,8 @@ func (r *RNG) Float64() float64 {
 }
 
 // Norm returns a standard normal variate (Box–Muller).
+//
+//advdiag:hotpath
 func (r *RNG) Norm() float64 {
 	if r.spareOK {
 		r.spareOK = false

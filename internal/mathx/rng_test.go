@@ -110,3 +110,21 @@ func TestNormScaledZeroSigmaProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// normSink keeps the benchmarked draws observable to the compiler.
+var normSink float64
+
+func BenchmarkRNGNorm(b *testing.B) {
+	r := NewRNG(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		normSink += r.Norm()
+	}
+}
+
+func TestRNGNormAllocFree(t *testing.T) {
+	r := NewRNG(1)
+	if allocs := testing.AllocsPerRun(1000, func() { normSink += r.Norm() }); allocs != 0 {
+		t.Fatalf("Norm allocates %.0f objects per call, want 0", allocs)
+	}
+}

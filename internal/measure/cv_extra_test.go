@@ -8,6 +8,7 @@ import (
 	"advdiag/internal/cell"
 	"advdiag/internal/electrode"
 	"advdiag/internal/enzyme"
+	"advdiag/internal/mathx"
 	"advdiag/internal/phys"
 )
 
@@ -129,4 +130,67 @@ func TestAgedElectrodeLosesSignal(t *testing.T) {
 	if math.Abs(ratio-math.Exp(-1)) > 0.08 {
 		t.Fatalf("5-day-aged signal ratio %.3f, want ≈1/e", ratio)
 	}
+}
+
+// TestRunCVWithBasisCachedSweepBitIdentical pins the basis' per-step
+// tables: a run that reads the cached programmed/applied sweep and
+// film-bump shapes records exactly what the inline computation does,
+// and a chain whose potentiostat differs from the basis' falls back to
+// the inline path.
+func TestRunCVWithBasisCachedSweepBitIdentical(t *testing.T) {
+	c := benzCell(t, 1)
+	start, vertex := CVWindowFor(phys.MilliVolts(-250), phys.MilliVolts(-400))
+	proto := CyclicVoltammetry{Start: start, Vertex: vertex}
+	builder, _ := NewEngine(c, 2)
+	basis, err := builder.CVFluxBasis("WE1", proto, analog.NewPicoChain(nil, builder.RNG()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(basis.bumps) != 2 {
+		t.Fatalf("basis holds %d bump shapes, want one per CYP2B4 binding (2)", len(basis.bumps))
+	}
+	inline := *basis
+	inline.applied, inline.bumps = nil, nil
+
+	run := func(b *CVBasis, offset phys.Voltage) *CVResult {
+		t.Helper()
+		eng, _ := NewEngine(c, 9)
+		chain := analog.NewPicoChain(nil, eng.RNG())
+		chain.Pstat.Offset += offset
+		res, err := eng.RunCVWithBasis("WE1", chain, proto, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(name string, a, b *CVResult) {
+		t.Helper()
+		for _, pair := range [][2][]float64{
+			{a.Potential.Values, b.Potential.Values},
+			{a.Raw.Values, b.Raw.Values},
+			{a.Recorded.Values, b.Recorded.Values},
+			{a.Current.Values, b.Current.Values},
+		} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: lengths %d vs %d", name, len(pair[0]), len(pair[1]))
+			}
+			for i := range pair[0] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("%s: sample %d differs: %g vs %g", name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+
+	if _, _, ok := basis.sweepFor(analog.NewPicoChain(nil, mathx.NewRNG(1))); !ok {
+		t.Fatal("a chain with the basis' potentiostat must use the cached tables")
+	}
+	same("matching potentiostat", run(basis, 0), run(&inline, 0))
+
+	mismatched := analog.NewPicoChain(nil, mathx.NewRNG(1))
+	mismatched.Pstat.Offset += phys.MilliVolts(3)
+	if _, _, ok := basis.sweepFor(mismatched); ok {
+		t.Fatal("a chain with a different potentiostat must not use the cached tables")
+	}
+	same("mismatched potentiostat", run(basis, phys.MilliVolts(3)), run(&inline, phys.MilliVolts(3)))
 }

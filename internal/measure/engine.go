@@ -629,26 +629,43 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// fit and yield unrealistically low LODs. One random-amplitude
 	// Gaussian bump per binding, drawn per run with the binding's
 	// calibrated blank σ.
+	//
+	// A basis driven through an equal potentiostat supplies the
+	// programmed and applied sweep and each bump's shape per sample;
+	// otherwise both are computed inline.
+	applied, shapes, cached := basis.sweepFor(chain)
+	if cached && cyp != nil && len(shapes) != len(cyp.Bindings) {
+		cached = false
+	}
 	type bump struct {
 		center phys.Voltage
-		amp    float64 // A
+		amp    float64   // A
+		shape  []float64 // exp(−x²) per sample, nil when computed inline
 	}
 	var bumps []bump
 	if cyp != nil && !proto.NoFilmBackground {
 		bumps = make([]bump, 0, len(cyp.Bindings))
-		for _, b := range cyp.Bindings {
-			bumps = append(bumps, bump{
+		for k, b := range cyp.Bindings {
+			bp := bump{
 				center: b.PeakPotential,
 				amp:    noise.NormScaled(b.BlankSigmaAt(gain)) * area,
-			})
+			}
+			if cached {
+				bp.shape = shapes[k]
+			}
+			bumps = append(bumps, bp)
 		}
 	}
 
 	prevE := chain.ApplyPotential(sweep.VoltageAt(0))
 	for i := 0; i < n; i++ {
-		t := float64(i) * dt
-		eProg := sweep.VoltageAt(t)
-		eAct := chain.ApplyPotential(eProg)
+		var eProg, eAct phys.Voltage
+		if cached {
+			eProg, eAct = phys.Voltage(basis.prog[i]), phys.Voltage(applied[i])
+		} else {
+			eProg = sweep.VoltageAt(float64(i) * dt)
+			eAct = chain.ApplyPotential(eProg)
+		}
 
 		var iF phys.Current
 		if faradaic != nil {
@@ -671,9 +688,16 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 
 		iN := phys.Current(noise.NormScaled(sigma) * area)
 		i0 := iF + iCap + iN
-		for _, bp := range bumps {
-			x := float64(eAct-bp.center) / FilmBumpWidth
-			i0 += phys.Current(bp.amp * math.Exp(-x*x))
+		for k := range bumps {
+			bp := &bumps[k]
+			var shape float64
+			if bp.shape != nil {
+				shape = bp.shape[i]
+			} else {
+				x := float64(eAct-bp.center) / FilmBumpWidth
+				shape = math.Exp(-x * x)
+			}
+			i0 += phys.Current(bp.amp * shape)
 		}
 
 		pot.Values[i] = float64(eProg)

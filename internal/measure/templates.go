@@ -2,10 +2,12 @@ package measure
 
 import (
 	"fmt"
+	"math"
 
 	"advdiag/internal/analog"
 	"advdiag/internal/diffusion"
 	"advdiag/internal/enzyme"
+	"advdiag/internal/phys"
 	"advdiag/internal/trace"
 )
 
@@ -37,6 +39,29 @@ type CVBasis struct {
 	we    string
 	proto CyclicVoltammetry
 	flux  map[string][]float64 // substrate → flux at every sample
+	// prog is the programmed sweep potential at every sample (V).
+	prog []float64
+	// The per-step terms below exist only when the basis was driven
+	// through a chain; they are valid for runs whose chain carries a
+	// potentiostat equal to pstat (see sweepFor).
+	pstat analog.Potentiostat
+	// applied is the chain-applied sweep potential at every sample (V).
+	applied []float64
+	// bumps[k] is the film-bump shape exp(−x²), x = (applied −
+	// PeakPotential_k)/FilmBumpWidth, of the k-th binding of the
+	// electrode's CYP, at every sample.
+	bumps [][]float64
+}
+
+// sweepFor returns the basis' applied-potential and film-bump tables
+// when they are valid for a run through chain, i.e. when the basis was
+// driven through a potentiostat equal to chain's; ok is false
+// otherwise and the caller computes the terms inline.
+func (b *CVBasis) sweepFor(chain *analog.Chain) (applied []float64, bumps [][]float64, ok bool) {
+	if b == nil || b.applied == nil || *chain.Pstat != b.pstat {
+		return nil, nil, false
+	}
+	return b.applied, b.bumps, true
 }
 
 // check verifies the basis was computed for this electrode and
@@ -62,6 +87,11 @@ func (b *CVBasis) check(weName string, proto CyclicVoltammetry) error {
 // make RunCVWithBasis reproduce what RunCV would have simulated; pass
 // nil to drive with the programmed sweep (the convention of the
 // template fitting side).
+//
+// The basis also records the programmed sweep and, when chain is
+// non-nil, the applied sweep and every binding's film-bump shape, so
+// the runs it serves read those per-step terms instead of recomputing
+// them.
 func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *analog.Chain) (*CVBasis, error) {
 	proto = proto.WithDefaults()
 	if err := proto.Validate(); err != nil {
@@ -85,6 +115,37 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	n := int(total/dt) + 1
 
 	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(cyp.Bindings))}
+	// One backing array holds the programmed sweep and, with a chain,
+	// the applied sweep and the bump shapes.
+	rows := 1
+	if chain != nil {
+		rows += 1 + len(cyp.Bindings)
+	}
+	tables := make([]float64, rows*n)
+	basis.prog = tables[:n:n]
+	for i := range basis.prog {
+		basis.prog[i] = float64(sweep.VoltageAt(float64(i) * dt))
+	}
+	if chain != nil {
+		basis.pstat = *chain.Pstat
+		basis.applied = tables[n : 2*n : 2*n]
+		for i, v := range basis.prog {
+			basis.applied[i] = float64(chain.ApplyPotential(phys.Voltage(v)))
+		}
+		basis.bumps = make([][]float64, len(cyp.Bindings))
+		for k, b := range cyp.Bindings {
+			shape := tables[(2+k)*n : (3+k)*n : (3+k)*n]
+			for i, eAct := range basis.applied {
+				x := float64(phys.Voltage(eAct)-b.PeakPotential) / FilmBumpWidth
+				shape[i] = math.Exp(-x * x)
+			}
+			basis.bumps[k] = shape
+		}
+	}
+	drive := basis.prog
+	if chain != nil {
+		drive = basis.applied
+	}
 	for _, b := range cyp.Bindings {
 		sim, err := diffusion.New(diffusion.Config{
 			Kinetics:  b.Kinetics(),
@@ -97,12 +158,8 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 			return nil, fmt.Errorf("measure: basis for %s: %w", b.Substrate.Name, err)
 		}
 		tr := make([]float64, n)
-		for i := 0; i < n; i++ {
-			eDrive := sweep.VoltageAt(float64(i) * dt)
-			if chain != nil {
-				eDrive = chain.ApplyPotential(eDrive)
-			}
-			tr[i] = sim.Step(eDrive)
+		for i, eDrive := range drive {
+			tr[i] = sim.Step(phys.Voltage(eDrive))
 		}
 		basis.flux[b.Substrate.Name] = tr
 	}
@@ -157,7 +214,7 @@ func (e *Engine) CVTemplatesFromBasis(basis *CVBasis) (*trace.XY, map[string][]f
 	grid.X = make([]float64, 0, n-first)
 	grid.Y = make([]float64, 0, n-first)
 	for i := first; i < n; i++ {
-		grid.Append(float64(sweep.VoltageAt(float64(i)*dt)), 0)
+		grid.Append(basis.prog[i], 0)
 	}
 	templates := make(map[string][]float64, len(cyp.Bindings))
 	for _, b := range cyp.Bindings {
