@@ -385,3 +385,58 @@ func TestChainDigitizeAllocFree(t *testing.T) {
 		t.Fatalf("Chain.Digitize allocates %.0f objects per call, want 0", allocs)
 	}
 }
+
+// TestFlickerRunningSumMatchesResum follows the incrementally kept row
+// sum over 10⁶ samples (976 exact resyncs): it stays within rounding of
+// the exact re-sum everywhere and equals it bit-for-bit right after
+// each resync.
+func TestFlickerRunningSumMatchesResum(t *testing.T) {
+	f := NewFlickerNoise(1, 16, mathx.NewRNG(43))
+	exact := func() float64 {
+		s := 0.0
+		for _, v := range f.rows {
+			s += v
+		}
+		return s
+	}
+	if f.sum != exact() {
+		t.Fatalf("fresh source: running sum %g, exact %g", f.sum, exact())
+	}
+	worst := 0.0
+	for i := 0; i < 1_000_000; i++ {
+		out := f.Sample()
+		want := exact()
+		if f.count%flickerResync == 0 && math.Float64bits(f.sum) != math.Float64bits(want) {
+			t.Fatalf("sample %d: resynced sum %g, exact %g", f.count, f.sum, want)
+		}
+		worst = math.Max(worst, math.Abs(f.sum-want))
+		if math.Abs(out-want/4) > 1e-12 {
+			t.Fatalf("sample %d: output %g, exact %g", f.count, out, want/4)
+		}
+	}
+	if worst > 1e-12 {
+		t.Fatalf("running sum drifted %g from the exact re-sum", worst)
+	}
+}
+
+// TestNoiseModelRebindMatchesFresh: a used model rebound to an RNG
+// state produces bit-for-bit the samples of a model freshly built on
+// the same state, across flicker resyncs.
+func TestNoiseModelRebindMatchesFresh(t *testing.T) {
+	for _, chop := range []bool{false, true} {
+		used := NewNoiseModel(2e-9, 10e-9, mathx.NewRNG(5))
+		used.EnableChopper(chop)
+		for i := 0; i < 1500; i++ {
+			used.Sample()
+		}
+		used.Rebind(mathx.NewRNG(77))
+		fresh := NewNoiseModel(2e-9, 10e-9, mathx.NewRNG(77))
+		fresh.EnableChopper(chop)
+		for i := 0; i < 5000; i++ {
+			a, b := used.Sample(), fresh.Sample()
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("chopper %v, sample %d: rebound %g, fresh %g", chop, i, a, b)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package analog
 
 import (
 	"math"
+	"math/bits"
 
 	"advdiag/internal/mathx"
 )
@@ -43,8 +44,19 @@ type FlickerNoise struct {
 	Sigma float64
 	rows  []float64
 	count uint64
-	rng   *mathx.RNG
+	// sum is the running total of rows. Each sample swaps one row, so
+	// it is kept by adding the new value and subtracting the old, and
+	// recomputed exactly every flickerResync samples so rounding error
+	// cannot accumulate.
+	sum float64
+	// norm is 1/√rows: the sum of R unit rows has variance R.
+	norm float64
+	rng  *mathx.RNG
 }
+
+// flickerResync is the period, in samples, of FlickerNoise's exact
+// re-summation (a power of two: the test is a bit mask).
+const flickerResync = 1 << 10
 
 // NewFlickerNoise returns a pink source with per-sample deviation sigma
 // spread over the given number of octaves (rows); 16 covers any
@@ -53,11 +65,27 @@ func NewFlickerNoise(sigma float64, rows int, rng *mathx.RNG) *FlickerNoise {
 	if rows < 1 {
 		rows = 16
 	}
-	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), rng: rng}
-	for i := range f.rows {
-		f.rows[i] = rng.Norm()
-	}
+	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), norm: 1 / math.Sqrt(float64(rows)), rng: rng}
+	f.fill()
 	return f
+}
+
+// fill draws every row afresh, restarts the update schedule and
+// re-sums.
+func (f *FlickerNoise) fill() {
+	f.count = 0
+	for i := range f.rows {
+		f.rows[i] = f.rng.Norm()
+	}
+	f.resum()
+}
+
+// resum recomputes the running sum exactly.
+func (f *FlickerNoise) resum() {
+	f.sum = 0
+	for _, v := range f.rows {
+		f.sum += v
+	}
 }
 
 // Sample returns the next noise value.
@@ -69,19 +97,16 @@ func (f *FlickerNoise) Sample() float64 {
 	}
 	f.count++
 	// Update the row whose bit flipped (number of trailing zeros).
-	n := f.count
-	row := 0
-	for n&1 == 0 && row < len(f.rows)-1 {
-		n >>= 1
-		row++
+	row := min(bits.TrailingZeros64(f.count), len(f.rows)-1)
+	v := f.rng.Norm()
+	old := f.rows[row]
+	f.rows[row] = v
+	if f.count&(flickerResync-1) == 0 {
+		f.resum()
+	} else {
+		f.sum += v - old
 	}
-	f.rows[row] = f.rng.Norm()
-	sum := 0.0
-	for _, v := range f.rows {
-		sum += v
-	}
-	// Normalize: the sum of R unit rows has variance R.
-	return f.Sigma * sum / math.Sqrt(float64(len(f.rows)))
+	return f.Sigma * f.sum * f.norm
 }
 
 // NoiseModel bundles the input-referred current noise of a readout
@@ -112,12 +137,8 @@ func NewNoiseModel(whiteSigma, flickerSigma float64, rng *mathx.RNG) *NoiseModel
 // setting is preserved.
 func (n *NoiseModel) Rebind(rng *mathx.RNG) {
 	n.white.rng.Reset(rng.Uint64())
-	f := n.flicker
-	f.rng.Reset(rng.Uint64())
-	f.count = 0
-	for i := range f.rows {
-		f.rows[i] = f.rng.Norm()
-	}
+	n.flicker.rng.Reset(rng.Uint64())
+	n.flicker.fill()
 }
 
 // ChopperSuppression is the flicker-noise attenuation a chopper
