@@ -318,6 +318,16 @@
 //     (measure.CVFluxBasis) once, and panels scale it by the sample's
 //     effective concentration (measure.RunCVWithBasis).
 //
+//   - The acquisition chain is cheap per sample: mathx.RNG.Norm is a
+//     128-layer ziggurat (one 64-bit draw per attempt, layer and value
+//     from disjoint bits), analog.FlickerNoise keeps its row sum as a
+//     running total with a periodic exact re-sum, a chain-driven
+//     CVBasis carries the per-sample sweep and film-bump terms, and the
+//     chronoamperometric charging term skips math.Exp once it has
+//     underflowed. The ziggurat moved every noisy fingerprint: results
+//     recorded under the earlier polar generator do not replay
+//     bit-for-bit.
+//
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples
 //     using pooled scratch arenas (sync.Pool), Lab chunks its queue

@@ -182,14 +182,14 @@ func TestRunCVWithBasisCachedSweepBitIdentical(t *testing.T) {
 		}
 	}
 
-	if _, _, ok := basis.sweepFor(analog.NewPicoChain(nil, mathx.NewRNG(1))); !ok {
+	if !basis.sweepCached(analog.NewPicoChain(nil, mathx.NewRNG(1))) {
 		t.Fatal("a chain with the basis' potentiostat must use the cached tables")
 	}
 	same("matching potentiostat", run(basis, 0), run(&inline, 0))
 
 	mismatched := analog.NewPicoChain(nil, mathx.NewRNG(1))
 	mismatched.Pstat.Offset += phys.MilliVolts(3)
-	if _, _, ok := basis.sweepFor(mismatched); ok {
+	if basis.sweepCached(mismatched) {
 		t.Fatal("a chain with a different potentiostat must not use the cached tables")
 	}
 	same("mismatched potentiostat", run(basis, phys.MilliVolts(3)), run(&inline, phys.MilliVolts(3)))

@@ -633,10 +633,7 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// A basis driven through an equal potentiostat supplies the
 	// programmed and applied sweep and each bump's shape per sample;
 	// otherwise both are computed inline.
-	applied, shapes, cached := basis.sweepFor(chain)
-	if cached && cyp != nil && len(shapes) != len(cyp.Bindings) {
-		cached = false
-	}
+	cached := basis.sweepCached(chain) && (cyp == nil || len(basis.bumps) == len(cyp.Bindings))
 	type bump struct {
 		center phys.Voltage
 		amp    float64   // A
@@ -651,7 +648,7 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 				amp:    noise.NormScaled(b.BlankSigmaAt(gain)) * area,
 			}
 			if cached {
-				bp.shape = shapes[k]
+				bp.shape = basis.bumps[k]
 			}
 			bumps = append(bumps, bp)
 		}
@@ -661,7 +658,7 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	for i := 0; i < n; i++ {
 		var eProg, eAct phys.Voltage
 		if cached {
-			eProg, eAct = phys.Voltage(basis.prog[i]), phys.Voltage(applied[i])
+			eProg, eAct = phys.Voltage(basis.prog[i]), phys.Voltage(basis.applied[i])
 		} else {
 			eProg = sweep.VoltageAt(float64(i) * dt)
 			eAct = chain.ApplyPotential(eProg)

@@ -43,7 +43,7 @@ type CVBasis struct {
 	prog []float64
 	// The per-step terms below exist only when the basis was driven
 	// through a chain; they are valid for runs whose chain carries a
-	// potentiostat equal to pstat (see sweepFor).
+	// potentiostat equal to pstat (see sweepCached).
 	pstat analog.Potentiostat
 	// applied is the chain-applied sweep potential at every sample (V).
 	applied []float64
@@ -53,15 +53,11 @@ type CVBasis struct {
 	bumps [][]float64
 }
 
-// sweepFor returns the basis' applied-potential and film-bump tables
-// when they are valid for a run through chain, i.e. when the basis was
-// driven through a potentiostat equal to chain's; ok is false
-// otherwise and the caller computes the terms inline.
-func (b *CVBasis) sweepFor(chain *analog.Chain) (applied []float64, bumps [][]float64, ok bool) {
-	if b == nil || b.applied == nil || *chain.Pstat != b.pstat {
-		return nil, nil, false
-	}
-	return b.applied, b.bumps, true
+// sweepCached reports whether the basis' applied-sweep and film-bump
+// tables are valid for a run through chain: the basis was driven
+// through a potentiostat equal to chain's.
+func (b *CVBasis) sweepCached(chain *analog.Chain) bool {
+	return b != nil && b.applied != nil && *chain.Pstat == b.pstat
 }
 
 // check verifies the basis was computed for this electrode and
@@ -126,6 +122,7 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	for i := range basis.prog {
 		basis.prog[i] = float64(sweep.VoltageAt(float64(i) * dt))
 	}
+	drive := basis.prog
 	if chain != nil {
 		basis.pstat = *chain.Pstat
 		basis.applied = tables[n : 2*n : 2*n]
@@ -141,9 +138,6 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 			}
 			basis.bumps[k] = shape
 		}
-	}
-	drive := basis.prog
-	if chain != nil {
 		drive = basis.applied
 	}
 	for _, b := range cyp.Bindings {
