@@ -318,15 +318,14 @@
 //     (measure.CVFluxBasis) once, and panels scale it by the sample's
 //     effective concentration (measure.RunCVWithBasis).
 //
-//   - The acquisition chain is cheap per sample: mathx.RNG.Norm is a
-//     128-layer ziggurat (one 64-bit draw per attempt, layer and value
-//     from disjoint bits), analog.FlickerNoise keeps its row sum as a
-//     running total with a periodic exact re-sum, a chain-driven
-//     CVBasis carries the per-sample sweep and film-bump terms, and the
+//   - The acquisition chain does less per sample: a chain-driven
+//     CVBasis carries the per-sample sweep and film-bump terms, the
 //     chronoamperometric charging term skips math.Exp once it has
-//     underflowed. The ziggurat moved every noisy fingerprint: results
-//     recorded under the earlier polar generator do not replay
-//     bit-for-bit.
+//     underflowed (both bit-identical to the inline computation), and
+//     analog.FlickerNoise keeps its row sum as a running total with a
+//     periodic exact re-sum, which differs from a fresh re-sum only by
+//     rounding far below one ADC step. mathx.RNG.Norm is still the
+//     Marsaglia polar method.
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples

@@ -38,7 +38,7 @@ func ExampleSensor_RunVoltammetry() {
 	}
 	// Output:
 	// peak near -250 mV
-	// peak near -399 mV
+	// peak near -401 mV
 }
 
 // ExampleDesignPlatform reproduces the paper's §III design flow: six

@@ -121,11 +121,6 @@ func pickAssay(target string) enzyme.Assay {
 // the rate rises past the cell limit, the quasi-reversible peak shifts
 // away from the target's potential and identification degrades.
 func SweepRateLimit() (*Result, error) {
-	return sweepRateLimit(29)
-}
-
-// sweepRateLimit runs E11 with the given engine seed.
-func sweepRateLimit(seed uint64) (*Result, error) {
 	res := &Result{ID: "E11", Title: "§II-C sweep-rate limit — peak-position error vs rate"}
 	a := pickAssay("benzphetamine")
 	ref := 0.0
@@ -133,7 +128,7 @@ func sweepRateLimit(seed uint64) (*Result, error) {
 		we := electrode.NewWorking("WE1", electrode.Bare, a)
 		sol := cell.NewSolution().Set("benzphetamine", phys.MilliMolar(1))
 		c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
-		eng, err := measure.NewEngine(c, seed)
+		eng, err := measure.NewEngine(c, 29)
 		if err != nil {
 			return nil, err
 		}

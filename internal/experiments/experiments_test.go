@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"advdiag"
 )
 
 // These are the integration tests of the whole repository: every
@@ -83,30 +81,9 @@ func TestTableIIIShape(t *testing.T) {
 	if !(m["cholesterol_S"] > m["aminopyrine_S"] && m["aminopyrine_S"] > m["benzphetamine_S"]) {
 		t.Error("CYP sensitivity ordering broken")
 	}
-	// Linear-range top within 25 %. The top is read from 16 noisy
-	// replicates per standard and lands below 3 mM on some noise
-	// streams, so it is checked over glucose sensor seeds 1–60 (Table
-	// III runs seed 11). Under the Marsaglia polar normal generator 55
-	// of the 60 seeds met it; the floor is that count minus a 3σ
-	// binomial margin (σ = √(60·0.917·0.083) ≈ 2.1), i.e. 48.
-	const seeds, floor = 60, 48
-	met := 0
-	for seed := uint64(1); seed <= seeds; seed++ {
-		sensor, err := advdiag.NewSensor("glucose", advdiag.WithProbe(tableIIIPaper["glucose"].probe), advdiag.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sensor.Calibrate(tableIIIGrids()["glucose"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(rep.LinearHiMM-4)/4 <= 0.25 {
-			met++
-		}
-	}
-	t.Logf("glucose linear top within 25 %% of 4 mM on %d of %d seeds", met, seeds)
-	if met < floor {
-		t.Errorf("glucose linear top within 25 %% of 4 mM on %d of %d seeds, want ≥ %d", met, seeds, floor)
+	// Linear-range top within 25 %.
+	if math.Abs(m["glucose_hi_mM"]-4)/4 > 0.25 {
+		t.Errorf("glucose linear top %g, paper 4", m["glucose_hi_mM"])
 	}
 	// LOD within 2.5×.
 	if m["glucose_LOD_uM"] < 575/2.5 || m["glucose_LOD_uM"] > 575*2.5 {
@@ -160,31 +137,18 @@ func TestFig4PanelAccuracy(t *testing.T) {
 	}
 }
 
-// TestSweepRateMonotoneDegradation checks E11: the peak stays put at
-// 50 mV/s (|shift| ≤ 3 mV) and walks strongly negative at 2000 mV/s
-// (shift ≤ −15 mV). The broad fast-sweep peak is located on the noisy
-// pre-ADC current, so whether one run meets both conditions depends on
-// the noise; the test is an ensemble over engine seeds 1–100 (E11 runs
-// seed 29). Under the Marsaglia polar normal generator 44 of the 100
-// seeds met both; the floor is that count minus a 3σ binomial margin
-// (σ = √(100·0.44·0.56) ≈ 5.0), i.e. 29.
 func TestSweepRateMonotoneDegradation(t *testing.T) {
-	const seeds, floor = 100, 29
-	met := 0
-	for seed := uint64(1); seed <= seeds; seed++ {
-		res, err := sweepRateLimit(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow := res.Metrics["shift_50"]
-		fast := res.Metrics["shift_2000"]
-		if math.Abs(slow) <= 3 && fast <= -15 {
-			met++
-		}
+	res, err := SweepRateLimit()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("slow peak on target and fast peak shifted on %d of %d seeds", met, seeds)
-	if met < floor {
-		t.Fatalf("slow peak on target and fast peak shifted on %d of %d seeds, want ≥ %d", met, seeds, floor)
+	slow := res.Metrics["shift_50"]
+	fast := res.Metrics["shift_2000"]
+	if math.Abs(slow) > 3 {
+		t.Errorf("shift at 50 mV/s = %g mV, want ≈0", slow)
+	}
+	if fast > -15 {
+		t.Errorf("shift at 2000 mV/s = %g mV, want strongly negative", fast)
 	}
 }
 
