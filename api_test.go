@@ -155,6 +155,94 @@ func TestMonitorFig3(t *testing.T) {
 	}
 }
 
+// seedsMeeting runs met for sensor seeds 1..seeds and counts the seeds
+// it reports true for. The seed-robustness tests below use it to check
+// that a paper figure is a property of the model, not of one noise
+// stream: each one sits beside a single-seed test of the same figure.
+func seedsMeeting(seeds uint64, met func(seed uint64) bool) int {
+	n := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		if met(seed) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCalibrateGlucoseLinearTopSeedRobust: the glucose linear-range top
+// lands within 25 % of Table III's 4 mM on at least 58 of sensor seeds
+// 1–60.
+func TestCalibrateGlucoseLinearTopSeedRobust(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 calibrations are slow")
+	}
+	const seeds, floor = 60, 58
+	var grid []float64
+	for c := 0.25; c <= 6.0; c += 0.25 {
+		grid = append(grid, c)
+	}
+	met := seedsMeeting(seeds, func(seed uint64) bool {
+		s, err := advdiag.NewSensor("glucose", advdiag.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Calibrate(grid)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return math.Abs(rep.LinearHiMM-4)/4 <= 0.25
+	})
+	t.Logf("linear top within 3–5 mM on %d of %d seeds", met, seeds)
+	if met < floor {
+		t.Fatalf("linear top within 3–5 mM on %d of %d seeds, want ≥ %d", met, seeds, floor)
+	}
+}
+
+// monitorTrace runs a glucose monitoring trace of the given duration
+// with the Fig. 3 injection (2 mM at 10 s) at one sensor seed.
+func monitorTrace(t *testing.T, seed uint64, seconds float64) *advdiag.MonitorResult {
+	t.Helper()
+	s, err := advdiag.NewSensor("glucose", advdiag.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := s.Monitor(seconds, advdiag.InjectionEvent{AtSeconds: 10, DeltaMM: 2})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return mon
+}
+
+// TestMonitorFig3SeedRobust: the 150 s Fig. 3 trace, which settles in
+// the noise-free model, is reported settled with t90 within 20–40 s on
+// at least 195 of sensor seeds 1–200.
+func TestMonitorFig3SeedRobust(t *testing.T) {
+	const seeds, floor = 200, 195
+	met := seedsMeeting(seeds, func(seed uint64) bool {
+		mon := monitorTrace(t, seed, 150)
+		return mon.Settled && mon.T90Seconds >= 20 && mon.T90Seconds <= 40
+	})
+	t.Logf("settled with t90 in 20–40 s on %d of %d seeds", met, seeds)
+	if met < floor {
+		t.Fatalf("settled with t90 in 20–40 s on %d of %d seeds, want ≥ %d", met, seeds, floor)
+	}
+}
+
+// TestMonitorShortTraceNotSettledSeedRobust: a trace cut 30 s after the
+// injection is still rising (8 % of the step over its tail in the
+// noise-free model) and is reported settled on at most 10 of sensor
+// seeds 1–200.
+func TestMonitorShortTraceNotSettledSeedRobust(t *testing.T) {
+	const seeds, ceiling = 200, 10
+	settled := seedsMeeting(seeds, func(seed uint64) bool {
+		return monitorTrace(t, seed, 40).Settled
+	})
+	t.Logf("40 s trace settled on %d of %d seeds", settled, seeds)
+	if settled > ceiling {
+		t.Fatalf("40 s trace settled on %d of %d seeds, want ≤ %d", settled, seeds, ceiling)
+	}
+}
+
 func TestMonitorRejectsCVSensor(t *testing.T) {
 	d, err := advdiag.NewSensor("benzphetamine")
 	if err != nil {

@@ -123,9 +123,11 @@ type fleetShard struct {
 	quarantined bool
 	// removed marks a shard retired by RemoveShard: out of the routing
 	// view forever, workers shutting down, index kept (never reused) so
-	// stats, replay and operator timelines stay stable. Guarded by the
-	// Fleet mutex.
-	removed bool
+	// stats, replay and operator timelines stay stable. Written once,
+	// under the Fleet mutex and before RemoveShard lifts the shard's
+	// fault, so workers read it without the mutex: a worker that sees
+	// the lifted fault also sees the removal.
+	removed atomic.Bool
 	// retired is set by the retire goroutine once the removed shard's
 	// queue has been closed; Close must not close it again. Guarded by
 	// the Fleet mutex (and ordered before Close's read by submitWG).
@@ -459,6 +461,10 @@ func (f *Fleet) shardWorker(sh *fleetShard) {
 	jobs := make([]fleetJob, 0, labBatchMax)
 	for job := range sh.queue {
 		fs := sh.fault.Load()
+		if sh.removed.Load() {
+			f.rerouteStraggler(sh, job)
+			continue
+		}
 		if job.monitor != nil || !batchableFault(fs) {
 			f.dispatchJob(sh, job)
 			continue
@@ -535,6 +541,12 @@ func (f *Fleet) runJobBatch(sh *fleetShard, jobs []fleetJob, fs *shardFaultState
 func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 	for {
 		fs := sh.fault.Load()
+		// Removal sets removed before it lifts the fault, so a job that
+		// finds the fault lifted by RemoveShard sees the removal here.
+		if sh.removed.Load() {
+			f.rerouteStraggler(sh, job)
+			return
+		}
 		if fs != nil && fs.dead {
 			f.parkJob(sh, fs, job)
 			return
@@ -569,7 +581,7 @@ func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 // parking against a stale state would orphan the job.
 func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool {
 	f.mu.Lock()
-	if sh.quarantined || sh.removed {
+	if sh.quarantined || sh.removed.Load() {
 		// The shard's backlog was already drained: hand the straggler to
 		// the reroute path.
 		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
@@ -584,6 +596,17 @@ func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool
 	sh.stalled = append(sh.stalled, job)
 	f.mu.Unlock()
 	return true
+}
+
+// rerouteStraggler hands a job a removed shard's worker dequeued to the
+// reroute path — the rule parkJob and stallJob apply to stragglers on
+// removed and quarantined shards — instead of running it on a shard
+// that has left the fleet.
+func (f *Fleet) rerouteStraggler(sh *fleetShard, job fleetJob) {
+	f.mu.Lock()
+	moves, fails := f.rerouteLocked(sh, []fleetJob{job})
+	f.mu.Unlock()
+	f.deliver(moves, fails)
 }
 
 // runJob executes one routed job on its shard and delivers the outcome.
@@ -608,7 +631,7 @@ func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
 // workers to run whatever is still parked themselves.
 func (f *Fleet) parkJob(sh *fleetShard, fs *shardFaultState, job fleetJob) {
 	f.mu.Lock()
-	if sh.quarantined || sh.removed {
+	if sh.quarantined || sh.removed.Load() {
 		// Quarantine or removal already drained this shard: hand the
 		// straggler to the reroute path instead of parking it forever.
 		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
@@ -689,7 +712,7 @@ func (f *Fleet) routeViewLocked() []ShardInfo {
 	view := f.snapshotLocked()
 	healthy := view[:0]
 	for i, sh := range f.shards {
-		if !sh.quarantined && !sh.removed {
+		if !sh.quarantined && !sh.removed.Load() {
 			healthy = append(healthy, view[i])
 		}
 	}
@@ -708,7 +731,7 @@ func (f *Fleet) routeLocked(s Sample) (*fleetShard, error) {
 		f.routeErrs++
 		return nil, fmt.Errorf("advdiag: router returned shard %d outside [0,%d)", idx, len(f.shards))
 	}
-	if f.shards[idx].quarantined || f.shards[idx].removed {
+	if f.shards[idx].quarantined || f.shards[idx].removed.Load() {
 		f.routeErrs++
 		return nil, fmt.Errorf("advdiag: router returned unroutable (quarantined or removed) shard %d", idx)
 	}
@@ -944,7 +967,7 @@ func (f *Fleet) InjectFault(ft Fault) error {
 	if f.closed {
 		return ErrFleetClosed
 	}
-	if f.shards[ft.Shard].removed {
+	if f.shards[ft.Shard].removed.Load() {
 		return fmt.Errorf("advdiag: fault targets removed shard %d", ft.Shard)
 	}
 	f.injectLocked(ft)
@@ -963,7 +986,7 @@ func (f *Fleet) InjectFaults(plan FaultPlan) error {
 		return ErrFleetClosed
 	}
 	for _, ft := range plan.Faults {
-		if f.shards[ft.Shard].removed {
+		if f.shards[ft.Shard].removed.Load() {
 			return fmt.Errorf("advdiag: fault targets removed shard %d", ft.Shard)
 		}
 	}
@@ -1068,7 +1091,7 @@ func (f *Fleet) ClearFaults() {
 		// on the lifted channel and run it in place. Quarantined and
 		// removed shards were drained already. Anything else stalled
 		// (flaky down-slot jobs) has no owner, so reroute it here.
-		if !hadDead && !sh.quarantined && !sh.removed && len(sh.stalled) > 0 {
+		if !hadDead && !sh.quarantined && !sh.removed.Load() && len(sh.stalled) > 0 {
 			jobs := sh.stalled
 			sh.stalled = nil
 			mv, fl := f.rerouteLocked(sh, jobs)
@@ -1110,7 +1133,7 @@ func (f *Fleet) Quarantine(shard int) error {
 		return fmt.Errorf("advdiag: quarantine shard %d outside [0,%d)", shard, len(f.shards))
 	}
 	sh := f.shards[shard]
-	if sh.removed {
+	if sh.removed.Load() {
 		f.mu.Unlock()
 		return fmt.Errorf("advdiag: quarantine removed shard %d", shard)
 	}
@@ -1228,11 +1251,11 @@ func (f *Fleet) RemoveShard(shard int) error {
 		return fmt.Errorf("advdiag: remove shard %d outside [0,%d)", shard, len(f.shards))
 	}
 	sh := f.shards[shard]
-	if sh.removed {
+	if sh.removed.Load() {
 		f.mu.Unlock()
 		return fmt.Errorf("advdiag: shard %d is already removed", shard)
 	}
-	sh.removed = true
+	sh.removed.Store(true)
 	jobs := sh.stalled
 	sh.stalled = nil
 drain:
@@ -1258,9 +1281,9 @@ drain:
 
 // retireShard closes a removed shard's queue once every straggler
 // handoff — a Submit or reroute delivery that routed here before the
-// removal — has landed. The shard's workers drain whatever those
-// stragglers enqueued (running it healthy, exactly like quarantine
-// stragglers) and exit on the close.
+// removal — has landed. The shard's workers hand whatever those
+// stragglers enqueued to the reroute path (see rerouteStraggler) and
+// exit on the close.
 func (f *Fleet) retireShard(sh *fleetShard) {
 	defer f.submitWG.Done()
 	sh.handoffs.Wait()
@@ -1276,7 +1299,7 @@ func (f *Fleet) Removed() []int {
 	defer f.mu.Unlock()
 	var out []int
 	for _, sh := range f.shards {
-		if sh.removed {
+		if sh.removed.Load() {
 			out = append(out, sh.index)
 		}
 	}
@@ -1389,7 +1412,7 @@ func (f *Fleet) ProbeShards() []int {
 	}
 	shards := make([]*fleetShard, 0, len(f.shards))
 	for _, sh := range f.shards {
-		if !sh.removed {
+		if !sh.removed.Load() {
 			shards = append(shards, sh)
 		}
 	}
@@ -1400,7 +1423,7 @@ func (f *Fleet) ProbeShards() []int {
 	for _, sh := range shards {
 		healthy := f.probeOnce(sh)
 		f.mu.Lock()
-		if f.closed || sh.removed {
+		if f.closed || sh.removed.Load() {
 			f.mu.Unlock()
 			continue
 		}
@@ -1755,7 +1778,7 @@ func (f *Fleet) Stats() FleetStats {
 	for i, sh := range shards {
 		flags[i] = shardFlags{
 			quarantined: sh.quarantined,
-			removed:     sh.removed,
+			removed:     sh.removed.Load(),
 			breaker:     sh.breaker,
 			probeFails:  sh.probeFails,
 			probeGoods:  sh.probeGoods,

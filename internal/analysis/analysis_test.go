@@ -217,3 +217,85 @@ func TestSelectivity(t *testing.T) {
 		t.Fatal("zero target slope must fail")
 	}
 }
+
+// TestLinearWindowRobustToPointNoise: on a Michaelis–Menten calibration
+// whose replicate means carry noise, the window selected on the
+// hyperbola-denoised curve stays within one grid step of the
+// noise-free top (±1 mM) on nearly every noise stream, and more often
+// than the same rule applied to the raw points, which the noisiest low
+// standard can end early.
+func TestLinearWindowRobustToPointNoise(t *testing.T) {
+	const (
+		km     = 12.0 // mM
+		seeds  = 200
+		sigma  = 0.003 // point noise, in units of the saturation current
+		blankS = 0.002
+		band   = 1.0 // mM
+	)
+	var concs []phys.Concentration
+	for c := 0.25; c <= 6.0; c += 0.25 {
+		concs = append(concs, phys.Concentration(c))
+	}
+	cal := func(seed uint64, noise float64) *Calibration {
+		rng := mathx.NewRNG(seed)
+		c := &Calibration{Concs: concs, Replicates: 1}
+		for i := 0; i < 12; i++ {
+			c.Blanks = append(c.Blanks, rng.NormScaled(blankS))
+		}
+		for _, x := range concs {
+			c.Responses = append(c.Responses, float64(x)/(km+float64(x))+rng.NormScaled(noise))
+		}
+		return c
+	}
+	clean, err := cal(1, 0).Analyze(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := float64(clean.LinearHi)
+	inBand, rawInBand := 0, 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		c := cal(seed, sigma)
+		rep, err := c.Analyze(0, 1)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if math.Abs(float64(rep.LinearHi)-top) <= band {
+			inBand++
+		}
+		lod, _ := LOD(c.Blanks, rep.Slope)
+		if _, hi, _, err := LinearRange(c.Concs, c.Responses, lod, blankS); err == nil && math.Abs(float64(hi)-top) <= band {
+			rawInBand++
+		}
+	}
+	t.Logf("noise-free top %g mM; within %g mM on %d of %d seeds (raw-point rule: %d)", top, band, inBand, seeds, rawInBand)
+	if inBand < seeds*98/100 || inBand <= rawInBand {
+		t.Fatalf("top within %g mM of %g mM on %d of %d seeds (raw-point rule: %d), want ≥ 98 %% and more than the raw rule",
+			band, top, inBand, seeds, rawInBand)
+	}
+}
+
+// TestFitHyperbola: a noise-free Michaelis–Menten curve with an offset
+// is reproduced, and degenerate input reports no fit.
+func TestFitHyperbola(t *testing.T) {
+	var concs []phys.Concentration
+	var ys []float64
+	for c := 0.5; c <= 8; c += 0.5 {
+		concs = append(concs, phys.Concentration(c))
+		ys = append(ys, 0.1+2*c/(3+c))
+	}
+	fitted, ok := fitHyperbola(concs, ys)
+	if !ok {
+		t.Fatal("no fit on a clean hyperbola")
+	}
+	for i := range ys {
+		if math.Abs(fitted[i]-ys[i]) > 1e-6 {
+			t.Fatalf("point %d: fitted %g, want %g", i, fitted[i], ys[i])
+		}
+	}
+	if _, ok := fitHyperbola(concs[:3], ys[:3]); ok {
+		t.Fatal("three points must not fit")
+	}
+	if _, ok := fitHyperbola([]phys.Concentration{0, 0, 0, 0}, []float64{1, 2, 3, 4}); ok {
+		t.Fatal("zero concentration spread must not fit")
+	}
+}

@@ -118,7 +118,11 @@ func (cal *Calibration) Analyze(area phys.Area, responseToCurrent float64) (Repo
 	if cal.Replicates > 0 {
 		pointSigma = rep.BlankStd / math.Sqrt(float64(cal.Replicates))
 	}
-	lo, hi, fit, err := LinearRange(cal.Concs, cal.Responses, lodPrelim, pointSigma)
+	// The window is selected on the calibration curve denoised by a
+	// Michaelis–Menten fit, so one noisy standard cannot end it early;
+	// degenerate fits (nil) fall back to the raw points.
+	denoised, _ := fitHyperbola(cal.Concs, cal.Responses)
+	lo, hi, fit, err := cal.linearWindow(denoised, lodPrelim, pointSigma)
 	if err != nil {
 		return Report{}, err
 	}
@@ -126,7 +130,7 @@ func (cal *Calibration) Analyze(area phys.Area, responseToCurrent float64) (Repo
 	// whole curve), which overstates the LOD floor. Refine once: redo
 	// the window search with the floor from the linear-window slope.
 	if lodFinal, err := LOD(cal.Blanks, fit.Slope); err == nil && lodFinal < lodPrelim {
-		if lo2, hi2, fit2, err := LinearRange(cal.Concs, cal.Responses, lodFinal, pointSigma); err == nil {
+		if lo2, hi2, fit2, err := cal.linearWindow(denoised, lodFinal, pointSigma); err == nil {
 			lo, hi, fit = lo2, hi2, fit2
 		}
 	}
@@ -157,6 +161,29 @@ func (cal *Calibration) Analyze(area phys.Area, responseToCurrent float64) (Repo
 		rep.NLmax = nl
 	}
 	return rep, nil
+}
+
+// linearWindow selects the linear window with LinearRange on the
+// denoised responses and fits the raw responses over it, so the slope
+// and R² always describe the measured points. The denoised curve
+// carries no point scatter, so its residual budget is the tolerance
+// alone; pointSigma widens the budget only when there is no denoised
+// curve, or none that yields a window, and the raw responses are used.
+func (cal *Calibration) linearWindow(denoised []float64, floor phys.Concentration, pointSigma float64) (lo, hi phys.Concentration, fit mathx.LinearFit, err error) {
+	if denoised == nil {
+		return LinearRange(cal.Concs, cal.Responses, floor, pointSigma)
+	}
+	lo, hi, _, err = LinearRange(cal.Concs, denoised, floor, 0)
+	if err != nil {
+		return LinearRange(cal.Concs, cal.Responses, floor, pointSigma)
+	}
+	top := sort.Search(len(cal.Concs), func(i int) bool { return cal.Concs[i] > hi })
+	xs := make([]float64, top)
+	for i := range xs {
+		xs[i] = float64(cal.Concs[i])
+	}
+	fit, err = mathx.FitLinear(xs, cal.Responses[:top])
+	return lo, hi, fit, err
 }
 
 // String renders the report like a Table III row.

@@ -119,7 +119,12 @@ func pickAssay(target string) enzyme.Assay {
 
 // SweepRateLimit (E11) reproduces the §II-C sweep-rate discussion: as
 // the rate rises past the cell limit, the quasi-reversible peak shifts
-// away from the target's potential and identification degrades.
+// away from the target's potential and identification degrades. The
+// shift is a property of the electrode kinetics, so the peak is located
+// on the noise-free unit flux of the binding (measure.CVFluxBasis,
+// driven through the potentiostat): on a noisy current the broad
+// fast-sweep peak's argmin moves with the noise stream by more than the
+// kinetic shift itself.
 func SweepRateLimit() (*Result, error) {
 	res := &Result{ID: "E11", Title: "§II-C sweep-rate limit — peak-position error vs rate"}
 	a := pickAssay("benzphetamine")
@@ -133,27 +138,24 @@ func SweepRateLimit() (*Result, error) {
 			return nil, err
 		}
 		chain := analog.NewPicoChain(nil, eng.RNG())
-		chain.Noise = nil
 		start, vertex := measure.CVWindowFor(a.Binding.PeakPotential)
-		r, err := eng.RunCV("WE1", chain, measure.CyclicVoltammetry{
+		basis, err := eng.CVFluxBasis("WE1", measure.CyclicVoltammetry{
 			Start: start, Vertex: vertex,
-			Rate:             phys.MilliVoltsPerSecond(mvs),
-			AllowFastSweep:   true,
-			NoFilmBackground: true, // isolate the electrode kinetics
-		})
+			Rate: phys.MilliVoltsPerSecond(mvs),
+		}, chain)
 		if err != nil {
 			return nil, err
 		}
-		// Cathodic minimum of the pre-ADC current on the forward branch
-		// (the ADC's quantization plateaus would blur the argmin).
-		minI, minV := 0.0, 0.0
-		half := r.Potential.Len() / 2
-		for i := 0; i < half; i++ {
-			if r.Raw.Values[i] < minI {
-				minI, minV = r.Raw.Values[i], r.Potential.Values[i]
+		// Cathodic peak on the forward branch: the largest reduction
+		// flux (the most negative current).
+		flux, pot := basis.Flux("benzphetamine")
+		maxF, peakV := 0.0, 0.0
+		for i := 0; i < len(pot)/2; i++ {
+			if flux[i] > maxF {
+				maxF, peakV = flux[i], pot[i]
 			}
 		}
-		pos := minV*1e3 - a.Binding.PeakPotential.MilliVolts()
+		pos := peakV*1e3 - a.Binding.PeakPotential.MilliVolts()
 		if mvs == 20 {
 			ref = pos // shifts are reported relative to the reference rate
 		}

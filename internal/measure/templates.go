@@ -60,6 +60,15 @@ func (b *CVBasis) sweepCached(chain *analog.Chain) bool {
 	return b != nil && b.applied != nil && *chain.Pstat == b.pstat
 }
 
+// Flux returns the unit-concentration surface-flux trace of a
+// substrate at every sample of the protocol (nil when the electrode's
+// isoform has no binding for it) and the programmed sweep potential
+// (V) at the same samples. Both are noise-free, and shared with the
+// basis: callers must not modify them.
+func (b *CVBasis) Flux(substrate string) (flux, programmed []float64) {
+	return b.flux[substrate], b.prog
+}
+
 // check verifies the basis was computed for this electrode and
 // protocol (the numeric protocol fields; flag fields like
 // NoFilmBackground do not change the flux).

@@ -235,6 +235,63 @@ func TestAnalyzeStepNoisy(t *testing.T) {
 	}
 }
 
+// TestAnalyzeStepNotSettled: a response still rising at the end of
+// the record is not settled — noise-free, and on every one of 200
+// noise streams. The linear ramp's tail slope stands out of its noise
+// (σ = 10 % of the step). The first-order response cut off 40 s after
+// the stimulus (τ = 13 s) still rises by 5 % of the step over the
+// tail, within three standard errors of its noise (σ = 5 %), so only
+// the t90-based first-order check catches it.
+func TestAnalyzeStepNotSettled(t *testing.T) {
+	const (
+		dt, t0 = 0.1, 10.0
+		tau    = 13.0
+		seeds  = 200
+	)
+	cases := []struct {
+		name  string
+		n     int
+		f     func(t float64) float64 // response after the stimulus
+		sigma float64
+	}{
+		{"ramp", 1200, func(t float64) float64 { return (t - t0) / (119.9 - t0) }, 0.10},
+		{"first order cut at 40 s", 500, func(t float64) float64 { return 1 - math.Exp(-(t-t0)/tau) }, 0.05},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			times := make([]float64, tc.n)
+			clean := make([]float64, tc.n)
+			for i := range times {
+				times[i] = float64(i) * dt
+				if times[i] >= t0 {
+					clean[i] = tc.f(times[i])
+				}
+			}
+			resp, err := AnalyzeStep(times, clean, t0, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Settled {
+				t.Fatal("noise-free trace reported settled")
+			}
+			vals := make([]float64, tc.n)
+			for seed := uint64(1); seed <= seeds; seed++ {
+				rng := mathx.NewRNG(seed)
+				for i, v := range clean {
+					vals[i] = v + rng.NormScaled(tc.sigma)
+				}
+				resp, err := AnalyzeStep(times, vals, t0, 0.2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Settled {
+					t.Fatalf("seed %d: noisy trace reported settled (t90 %g s)", seed, resp.T90)
+				}
+			}
+		})
+	}
+}
+
 func TestAnalyzeStepTooShort(t *testing.T) {
 	if _, err := AnalyzeStep([]float64{1, 2}, []float64{1, 2}, 0, 0.2); err != ErrTooShort {
 		t.Fatal("short input must fail")

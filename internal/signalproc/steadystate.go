@@ -1,6 +1,8 @@
 package signalproc
 
 import (
+	"math"
+
 	"advdiag/internal/mathx"
 )
 
@@ -19,7 +21,7 @@ type StepResponse struct {
 	// response time".
 	TTransient float64
 	// Settled reports whether the tail is flat enough to be considered
-	// steady (tail slope below 1 %/tail-length of the step).
+	// steady (see settled for the test).
 	Settled bool
 }
 
@@ -61,13 +63,6 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 		return resp, nil
 	}
 
-	// Settled check: the tail should drift by less than 2 % of the step.
-	fit, err := mathx.FitLinear(tailTimes, tail)
-	if err == nil {
-		drift := fit.Slope * (tailTimes[len(tailTimes)-1] - tailTimes[0])
-		resp.Settled = abs(drift) < 0.02*abs(step)
-	}
-
 	// t90: first crossing of baseline + 0.9·step after the stimulus.
 	// The raw trace carries the blank noise of the sensor, which biases
 	// threshold crossings early; smooth with a centered window (~2.5 %
@@ -93,6 +88,7 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 	if len(post) >= 2 {
 		if tc, err := mathx.CrossingTime(postT, post, level); err == nil {
 			resp.T90 = tc - stimulusTime
+			resp.Settled = settled(tailTimes, tail, step, resp.T90, stimulusTime)
 		}
 		// Transient response time: max |dV/dt| after the stimulus.
 		dt := postT[1] - postT[0]
@@ -107,6 +103,52 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 		}
 	}
 	return resp, nil
+}
+
+// settleTolerance is the tail drift, as a fraction of the step, below
+// which a step response counts as settled.
+const settleTolerance = 0.02
+
+// settled reports whether a step response has reached its steady
+// state over the tail. Both must hold:
+//
+//   - model: a first-order response with the measured t90 (time
+//     constant τ = t90/ln 10) still drifts by less than settleTolerance
+//     of the step between the tail's first and last sample;
+//   - data: the least-squares drift over the tail is below
+//     settleTolerance of the step plus three standard errors of that
+//     drift, so white noise on a flat tail does not fail the test.
+//
+// The model term rejects a trace cut off while still rising even when
+// the noise hides its slope; the data term rejects a tail that moves
+// for any other reason. A trace whose t90 could not be measured is not
+// settled.
+func settled(tailTimes, tail []float64, step, t90, stimulusTime float64) bool {
+	t0, t1 := tailTimes[0], tailTimes[len(tailTimes)-1]
+	if t90 > 0 {
+		tau := t90 / math.Ln10
+		if math.Exp(-(t0-stimulusTime)/tau)-math.Exp(-(t1-stimulusTime)/tau) >= settleTolerance {
+			return false
+		}
+	}
+	fit, err := mathx.FitLinear(tailTimes, tail)
+	if err != nil {
+		return false
+	}
+	// Standard error of the fitted drift slope·(t1 − t0):
+	// √(Σr²/(n−2) / Σ(t − t̄)²)·(t1 − t0).
+	se := 0.0
+	if n := len(tail); n > 2 {
+		mt := mathx.Mean(tailTimes)
+		var rss, sxx float64
+		for i, r := range fit.Residuals {
+			d := tailTimes[i] - mt
+			rss += r * r
+			sxx += d * d
+		}
+		se = math.Sqrt(rss/float64(n-2)/sxx) * (t1 - t0)
+	}
+	return abs(fit.Slope*(t1-t0)) < settleTolerance*abs(step)+3*se
 }
 
 func abs(x float64) float64 {
