@@ -158,9 +158,7 @@ func TestNormTails(t *testing.T) {
 }
 
 // TestRNGResetDeterminism: after any mix of draws, Reset(seed) replays
-// exactly the stream of NewRNG(seed), normals included. The odd number
-// of normals before the Reset leaves a polar spare cached, which Reset
-// must discard.
+// exactly the stream of NewRNG(seed), normals included.
 func TestRNGResetDeterminism(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 1001; i++ {
@@ -173,6 +171,84 @@ func TestRNGResetDeterminism(t *testing.T) {
 		a, b := r.Norm(), fresh.Norm()
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("draw %d after Reset: %g, fresh generator: %g", i, a, b)
+		}
+	}
+}
+
+// TestNormZigguratMoments checks the first four moments of 10⁶ draws
+// against the standard normal's (0, 1, 0, 3), each within five
+// standard errors.
+func TestNormZigguratMoments(t *testing.T) {
+	const n = 1_000_000
+	r := NewRNG(29)
+	var s1, s2, s3, s4 float64
+	for i := 0; i < n; i++ {
+		v := r.Norm()
+		v2 := v * v
+		s1 += v
+		s2 += v2
+		s3 += v2 * v
+		s4 += v2 * v2
+	}
+	mean, variance, skew, kurt := s1/n, s2/n, s3/n, s4/n
+	for _, m := range []struct {
+		name      string
+		got, want float64
+		se        float64
+	}{
+		{"mean", mean, 0, math.Sqrt(1.0 / n)},
+		{"variance", variance, 1, math.Sqrt(2.0 / n)},
+		{"skewness", skew, 0, math.Sqrt(15.0 / n)},
+		{"kurtosis", kurt, 3, math.Sqrt(96.0 / n)},
+	} {
+		if math.Abs(m.got-m.want) > 5*m.se {
+			t.Errorf("%s %g, want %g ± %g", m.name, m.got, m.want, 5*m.se)
+		}
+	}
+}
+
+// TestZigSplitLayerValueIndependence checks that the layer index and
+// the signed uniform come from disjoint bits of one draw: flipping any
+// value bit leaves the layer alone and vice versa, and over 10⁶ draws
+// neither the value's low bits nor its magnitude octile carry
+// information about the layer (χ² within five standard deviations of
+// its degrees of freedom).
+func TestZigSplitLayerValueIndependence(t *testing.T) {
+	probe := uint64(0x0123456789ABCDEF)
+	layer, u := zigSplit(probe)
+	for b := 0; b < 64; b++ {
+		l, v := zigSplit(probe ^ 1<<b)
+		if l != layer && v != u {
+			t.Fatalf("bit %d feeds both the layer and the value", b)
+		}
+	}
+	const n, bins = 1_000_000, 16
+	var lowBits, octile [bins][bins]float64
+	r := NewRNG(37)
+	for i := 0; i < n; i++ {
+		l, v := zigSplit(r.Uint64())
+		l %= bins
+		lowBits[l][uint64(int64(v*0x1p52))%bins]++
+		octile[l][int(math.Abs(v)*bins)%bins]++
+	}
+	for name, tab := range map[string]*[bins][bins]float64{"value low bits": &lowBits, "value magnitude": &octile} {
+		var rows, cols [bins]float64
+		for i := range tab {
+			for j := range tab[i] {
+				rows[i] += tab[i][j]
+				cols[j] += tab[i][j]
+			}
+		}
+		chi2 := 0.0
+		for i := range tab {
+			for j := range tab[i] {
+				e := rows[i] * cols[j] / n
+				chi2 += (tab[i][j] - e) * (tab[i][j] - e) / e
+			}
+		}
+		df := float64((bins - 1) * (bins - 1))
+		if chi2 > df+5*math.Sqrt(2*df) {
+			t.Errorf("layer vs %s: χ² = %.0f on %.0f degrees of freedom", name, chi2, df)
 		}
 	}
 }
