@@ -324,8 +324,17 @@
 //     underflowed (both bit-identical to the inline computation), and
 //     analog.FlickerNoise keeps its row sum as a running total with a
 //     periodic exact re-sum, which differs from a fresh re-sum only by
-//     rounding far below one ADC step. mathx.RNG.Norm is still the
-//     Marsaglia polar method.
+//     rounding far below one ADC step.
+//
+//   - mathx.RNG.Norm draws with a 128-layer ziggurat (Marsaglia &
+//     Tsang 2000, Doornik's 2005 form): one Uint64 per attempt and, on
+//     about 99% of draws, no log or sqrt. It replaced the Marsaglia
+//     polar method, so every noise stream — and every noisy panel,
+//     monitor and cohort fingerprint — differs from releases before
+//     the swap; the determinism and replay contracts are unchanged.
+//     The paper checks do not hinge on the stream: the linear window,
+//     the settle test and E11's peak are estimated on the model
+//     (analysis.Calibration.Analyze, signalproc.AnalyzeStep).
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples

@@ -53,22 +53,35 @@ func TestFloat64Uniformity(t *testing.T) {
 	}
 }
 
+// TestNormMoments checks the first four moments of 10⁶ draws against
+// the standard normal's (0, 1, 0, 3), each within five standard
+// errors.
 func TestNormMoments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	var sum, sumSq float64
+	const n = 1_000_000
+	r := NewRNG(29)
+	var s1, s2, s3, s4 float64
 	for i := 0; i < n; i++ {
 		v := r.Norm()
-		sum += v
-		sumSq += v * v
+		v2 := v * v
+		s1 += v
+		s2 += v2
+		s3 += v2 * v
+		s4 += v2 * v2
 	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %g too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %g too far from 1", variance)
+	mean, variance, skew, kurt := s1/n, s2/n, s3/n, s4/n
+	for _, m := range []struct {
+		name      string
+		got, want float64
+		se        float64
+	}{
+		{"mean", mean, 0, math.Sqrt(1.0 / n)},
+		{"variance", variance, 1, math.Sqrt(2.0 / n)},
+		{"skewness", skew, 0, math.Sqrt(15.0 / n)},
+		{"kurtosis", kurt, 3, math.Sqrt(96.0 / n)},
+	} {
+		if math.Abs(m.got-m.want) > 5*m.se {
+			t.Errorf("%s %g, want %g ± %g", m.name, m.got, m.want, 5*m.se)
+		}
 	}
 }
 
@@ -171,38 +184,6 @@ func TestRNGResetDeterminism(t *testing.T) {
 		a, b := r.Norm(), fresh.Norm()
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("draw %d after Reset: %g, fresh generator: %g", i, a, b)
-		}
-	}
-}
-
-// TestNormZigguratMoments checks the first four moments of 10⁶ draws
-// against the standard normal's (0, 1, 0, 3), each within five
-// standard errors.
-func TestNormZigguratMoments(t *testing.T) {
-	const n = 1_000_000
-	r := NewRNG(29)
-	var s1, s2, s3, s4 float64
-	for i := 0; i < n; i++ {
-		v := r.Norm()
-		v2 := v * v
-		s1 += v
-		s2 += v2
-		s3 += v2 * v
-		s4 += v2 * v2
-	}
-	mean, variance, skew, kurt := s1/n, s2/n, s3/n, s4/n
-	for _, m := range []struct {
-		name      string
-		got, want float64
-		se        float64
-	}{
-		{"mean", mean, 0, math.Sqrt(1.0 / n)},
-		{"variance", variance, 1, math.Sqrt(2.0 / n)},
-		{"skewness", skew, 0, math.Sqrt(15.0 / n)},
-		{"kurtosis", kurt, 3, math.Sqrt(96.0 / n)},
-	} {
-		if math.Abs(m.got-m.want) > 5*m.se {
-			t.Errorf("%s %g, want %g ± %g", m.name, m.got, m.want, 5*m.se)
 		}
 	}
 }
