@@ -283,8 +283,8 @@ func TestFitHyperbola(t *testing.T) {
 		concs = append(concs, phys.Concentration(c))
 		ys = append(ys, 0.1+2*c/(3+c))
 	}
-	fitted, ok := fitHyperbola(concs, ys)
-	if !ok {
+	fitted := fitHyperbola(concs, ys)
+	if fitted == nil {
 		t.Fatal("no fit on a clean hyperbola")
 	}
 	for i := range ys {
@@ -292,10 +292,10 @@ func TestFitHyperbola(t *testing.T) {
 			t.Fatalf("point %d: fitted %g, want %g", i, fitted[i], ys[i])
 		}
 	}
-	if _, ok := fitHyperbola(concs[:3], ys[:3]); ok {
+	if fitHyperbola(concs[:3], ys[:3]) != nil {
 		t.Fatal("three points must not fit")
 	}
-	if _, ok := fitHyperbola([]phys.Concentration{0, 0, 0, 0}, []float64{1, 2, 3, 4}); ok {
+	if fitHyperbola([]phys.Concentration{0, 0, 0, 0}, []float64{1, 2, 3, 4}) != nil {
 		t.Fatal("zero concentration spread must not fit")
 	}
 }

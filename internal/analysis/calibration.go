@@ -121,7 +121,7 @@ func (cal *Calibration) Analyze(area phys.Area, responseToCurrent float64) (Repo
 	// The window is selected on the calibration curve denoised by a
 	// Michaelis–Menten fit, so one noisy standard cannot end it early;
 	// degenerate fits (nil) fall back to the raw points.
-	denoised, _ := fitHyperbola(cal.Concs, cal.Responses)
+	denoised := fitHyperbola(cal.Concs, cal.Responses)
 	lo, hi, fit, err := cal.linearWindow(denoised, lodPrelim, pointSigma)
 	if err != nil {
 		return Report{}, err

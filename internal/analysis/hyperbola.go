@@ -19,16 +19,16 @@ const (
 // fitted responses at concs. For a fixed K the model is linear in a
 // and b, so only K is searched: a log-spaced scan over K ∈ [10⁻²,
 // 10²]·C_max, then a golden-section refinement between the best scan
-// point's neighbours. ok is false on degenerate input (fewer than four
-// points, no concentration spread, a non-finite fit).
+// point's neighbours. It returns nil on degenerate input (fewer than
+// four points, no concentration spread, a non-finite fit).
 //
 // Analyze selects the linear window on these denoised points: the
 // window rule's worst residual is otherwise set by one noisy low
 // standard rather than by the curve's bend.
-func fitHyperbola(concs []phys.Concentration, ys []float64) (fitted []float64, ok bool) {
+func fitHyperbola(concs []phys.Concentration, ys []float64) []float64 {
 	n := len(concs)
 	if n < 4 || n != len(ys) || concs[n-1] <= 0 {
-		return nil, false
+		return nil
 	}
 	cMax := float64(concs[n-1])
 	// rss returns the residual sum of squares of the best (a, b) at
@@ -63,7 +63,7 @@ func fitHyperbola(concs []phys.Concentration, ys []float64) (fitted []float64, o
 		}
 	}
 	if math.IsInf(bestR, 1) {
-		return nil, false
+		return nil
 	}
 	// Golden-section search on [u_best − step, u_best + step].
 	lo := -hyperbolaDecades + float64(best-1)*step
@@ -89,12 +89,12 @@ func fitHyperbola(concs []phys.Concentration, ys []float64) (fitted []float64, o
 	}
 	_, a, b := rss(u)
 	k := cMax * math.Pow(10, u)
-	fitted = make([]float64, n)
+	fitted := make([]float64, n)
 	for i, c := range concs {
 		fitted[i] = a + b*float64(c)/(k+float64(c))
 		if math.IsNaN(fitted[i]) || math.IsInf(fitted[i], 0) {
-			return nil, false
+			return nil
 		}
 	}
-	return fitted, true
+	return fitted
 }
