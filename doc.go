@@ -334,7 +334,12 @@
 //     the swap; the determinism and replay contracts are unchanged.
 //     The paper checks do not hinge on the stream: the linear window,
 //     the settle test and E11's peak are estimated on the model
-//     (analysis.Calibration.Analyze, signalproc.AnalyzeStep).
+//     (analysis.Calibration.Analyze, signalproc.AnalyzeStep). The new
+//     settle test is a behaviour change of its own: it flips the
+//     Settled verdict of marginal traces (and a trace with no t90 is
+//     never settled), and Settled enters MonitorResult.Fingerprint, so
+//     monitor and cohort fingerprints move with it under either
+//     generator.
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples

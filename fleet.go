@@ -455,14 +455,14 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // non-blocking (a worker never waits for a batch to fill), stops at
 // monitor jobs and at fault states that need per-job handling, and
 // preserves queue order, so submission indices — and with them every
-// panel's noise stream — are untouched.
+// panel's noise stream — are untouched. A job dequeued once the shard
+// is removed goes to rerouteStraggler instead, head or drained alike.
 func (f *Fleet) shardWorker(sh *fleetShard) {
 	defer f.workWG.Done()
 	jobs := make([]fleetJob, 0, labBatchMax)
 	for job := range sh.queue {
 		fs := sh.fault.Load()
-		if sh.removed.Load() {
-			f.rerouteStraggler(sh, job)
+		if sh.removed.Load() && f.rerouteStraggler(sh, job) {
 			continue
 		}
 		if job.monitor != nil || !batchableFault(fs) {
@@ -483,7 +483,7 @@ func (f *Fleet) shardWorker(sh *fleetShard) {
 					closed = true
 					break drain
 				}
-				if next.monitor != nil {
+				if next.monitor != nil || sh.removed.Load() {
 					tail, hasTail = next, true
 					break drain
 				}
@@ -543,8 +543,7 @@ func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 		fs := sh.fault.Load()
 		// Removal sets removed before it lifts the fault, so a job that
 		// finds the fault lifted by RemoveShard sees the removal here.
-		if sh.removed.Load() {
-			f.rerouteStraggler(sh, job)
+		if sh.removed.Load() && f.rerouteStraggler(sh, job) {
 			return
 		}
 		if fs != nil && fs.dead {
@@ -581,9 +580,10 @@ func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 // parking against a stale state would orphan the job.
 func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool {
 	f.mu.Lock()
-	if sh.quarantined || sh.removed.Load() {
+	if (sh.quarantined || sh.removed.Load()) && !f.closed {
 		// The shard's backlog was already drained: hand the straggler to
-		// the reroute path.
+		// the reroute path. Once Close has begun the fault is lifted, so
+		// the state check below sends the job back to run in place.
 		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
 		f.mu.Unlock()
 		f.deliver(moves, fails)
@@ -601,12 +601,19 @@ func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool
 // rerouteStraggler hands a job a removed shard's worker dequeued to the
 // reroute path — the rule parkJob and stallJob apply to stragglers on
 // removed and quarantined shards — instead of running it on a shard
-// that has left the fleet.
-func (f *Fleet) rerouteStraggler(sh *fleetShard, job fleetJob) {
+// that has left the fleet. It reports false, leaving the job to the
+// caller to run in place, once Close has begun: Close is about to shut
+// every other queue and waits for no new handoff.
+func (f *Fleet) rerouteStraggler(sh *fleetShard, job fleetJob) bool {
 	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return false
+	}
 	moves, fails := f.rerouteLocked(sh, []fleetJob{job})
 	f.mu.Unlock()
 	f.deliver(moves, fails)
+	return true
 }
 
 // runJob executes one routed job on its shard and delivers the outcome.
@@ -631,9 +638,11 @@ func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
 // workers to run whatever is still parked themselves.
 func (f *Fleet) parkJob(sh *fleetShard, fs *shardFaultState, job fleetJob) {
 	f.mu.Lock()
-	if sh.quarantined || sh.removed.Load() {
+	if (sh.quarantined || sh.removed.Load()) && !f.closed {
 		// Quarantine or removal already drained this shard: hand the
 		// straggler to the reroute path instead of parking it forever.
+		// Once Close has begun the fault is lifted, so the park below
+		// returns at once and the job runs in place.
 		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
 		f.mu.Unlock()
 		f.deliver(moves, fails)
@@ -1282,8 +1291,8 @@ drain:
 // retireShard closes a removed shard's queue once every straggler
 // handoff — a Submit or reroute delivery that routed here before the
 // removal — has landed. The shard's workers hand whatever those
-// stragglers enqueued to the reroute path (see rerouteStraggler) and
-// exit on the close.
+// stragglers enqueued to the reroute path (see rerouteStraggler) — or,
+// once Close has begun, run it in place — and exit on the close.
 func (f *Fleet) retireShard(sh *fleetShard) {
 	defer f.submitWG.Done()
 	sh.handoffs.Wait()

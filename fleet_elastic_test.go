@@ -255,6 +255,85 @@ func TestFleetRemoveShardValidation(t *testing.T) {
 	}
 }
 
+// preferShard routes every sample to one shard while it is in the
+// routing view, and to the first routable shard once it is not.
+type preferShard struct{ idx int }
+
+func (r preferShard) Route(_ advdiag.Sample, shards []advdiag.ShardInfo) (int, error) {
+	if len(shards) == 0 {
+		return 0, advdiag.ErrNoShard
+	}
+	for _, sh := range shards {
+		if sh.Index == r.idx {
+			return sh.Index, nil
+		}
+	}
+	return shards[0].Index, nil
+}
+
+// TestFleetRemoveShardUnderSubmitThenClose: Submits blocked on a shard's
+// full queue when RemoveShard retires it land there as stragglers, and
+// Close follows at once. The removed shard's worker must handle those
+// stragglers without panicking on a queue Close already shut, and every
+// accepted Submit must still yield exactly one outcome.
+func TestFleetRemoveShardUnderSubmitThenClose(t *testing.T) {
+	const rounds, submitters, perSubmitter = 8, 4, 6
+	for round := 0; round < rounds; round++ {
+		fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2),
+			advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(2),
+			advdiag.WithFleetRouter(preferShard{0}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes := make(chan int)
+		go func() {
+			n := 0
+			for range fleet.Results() {
+				n++
+			}
+			outcomes <- n
+		}()
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			accepted int
+			first    = make(chan struct{})
+			once     sync.Once
+		)
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, s := range mixedCohort(perSubmitter) {
+					err := fleet.Submit(s)
+					if errors.Is(err, advdiag.ErrFleetClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("submit: %v", err)
+						return
+					}
+					mu.Lock()
+					accepted++
+					mu.Unlock()
+					once.Do(func() { close(first) })
+				}
+			}()
+		}
+		<-first
+		if err := fleet.RemoveShard(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if got := <-outcomes; got != accepted {
+			t.Fatalf("round %d: %d outcomes for %d accepted submits", round, got, accepted)
+		}
+	}
+}
+
 // TestFleetReplayPanel: any outcome replays bit-identically on any
 // shard — including one that never ran it — and the accessor range-
 // checks its arguments.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 
+	"advdiag/internal/mathx"
 	"advdiag/internal/phys"
 )
 
@@ -31,34 +32,33 @@ func fitHyperbola(concs []phys.Concentration, ys []float64) []float64 {
 		return nil
 	}
 	cMax := float64(concs[n-1])
-	// rss returns the residual sum of squares of the best (a, b) at
-	// K = cMax·10^u, and those coefficients.
-	rss := func(u float64) (r, a, b float64) {
+	g := make([]float64, n)
+	// fit regresses y on g_i = C_i/(K + C_i) at K = cMax·10^u — the
+	// model is linear in a and b for a fixed K — and returns the fit
+	// with its residual sum of squares (+Inf when g has no spread).
+	fit := func(u float64) (mathx.LinearFit, float64) {
 		k := cMax * math.Pow(10, u)
-		var sg, sy float64
 		for i, c := range concs {
-			sg += float64(c) / (k + float64(c))
-			sy += ys[i]
+			g[i] = float64(c) / (k + float64(c))
 		}
-		mg, my := sg/float64(n), sy/float64(n)
-		var sgg, sgy, syy float64
-		for i, c := range concs {
-			dg := float64(c)/(k+float64(c)) - mg
-			dy := ys[i] - my
-			sgg += dg * dg
-			sgy += dg * dy
-			syy += dy * dy
+		lf, err := mathx.FitLinear(g, ys)
+		if err != nil {
+			return lf, math.Inf(1)
 		}
-		if sgg == 0 {
-			return math.Inf(1), 0, 0
+		var r float64
+		for _, e := range lf.Residuals {
+			r += e * e
 		}
-		b = sgy / sgg
-		return syy - b*sgy, my - b*mg, b
+		return lf, r
+	}
+	rss := func(u float64) float64 {
+		_, r := fit(u)
+		return r
 	}
 	const step = 2 * hyperbolaDecades / float64(hyperbolaGrid-1)
 	best, bestR := 0, math.Inf(1)
 	for j := 0; j < hyperbolaGrid; j++ {
-		if r, _, _ := rss(-hyperbolaDecades + float64(j)*step); r < bestR {
+		if r := rss(-hyperbolaDecades + float64(j)*step); r < bestR {
 			best, bestR = j, r
 		}
 	}
@@ -70,28 +70,27 @@ func fitHyperbola(concs []phys.Concentration, ys []float64) []float64 {
 	hi := lo + 2*step
 	const invPhi = 0.6180339887498949
 	x1, x2 := hi-invPhi*(hi-lo), lo+invPhi*(hi-lo)
-	r1, _, _ := rss(x1)
-	r2, _, _ := rss(x2)
+	r1 := rss(x1)
+	r2 := rss(x2)
 	for it := 0; it < 40; it++ {
 		if r1 <= r2 {
 			hi, x2, r2 = x2, x1, r1
 			x1 = hi - invPhi*(hi-lo)
-			r1, _, _ = rss(x1)
+			r1 = rss(x1)
 		} else {
 			lo, x1, r1 = x1, x2, r2
 			x2 = lo + invPhi*(hi-lo)
-			r2, _, _ = rss(x2)
+			r2 = rss(x2)
 		}
 	}
 	u := (lo + hi) / 2
-	if r, _, _ := rss(u); r > bestR {
+	if rss(u) > bestR {
 		u = -hyperbolaDecades + float64(best)*step
 	}
-	_, a, b := rss(u)
-	k := cMax * math.Pow(10, u)
+	lf, _ := fit(u) // leaves g at the chosen K
 	fitted := make([]float64, n)
-	for i, c := range concs {
-		fitted[i] = a + b*float64(c)/(k+float64(c))
+	for i := range g {
+		fitted[i] = lf.Eval(g[i])
 		if math.IsNaN(fitted[i]) || math.IsInf(fitted[i], 0) {
 			return nil
 		}

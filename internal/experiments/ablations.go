@@ -128,17 +128,18 @@ func pickAssay(target string) enzyme.Assay {
 func SweepRateLimit() (*Result, error) {
 	res := &Result{ID: "E11", Title: "§II-C sweep-rate limit — peak-position error vs rate"}
 	a := pickAssay("benzphetamine")
+	// The basis reads only the electrode's binding and the
+	// potentiostat: no analyte, noise model or seed enters it.
+	we := electrode.NewWorking("WE1", electrode.Bare, a)
+	c := cell.NewSingleChamber(cell.NewSolution(), we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
+	eng, err := measure.NewEngine(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	chain := &analog.Chain{Pstat: analog.DefaultPotentiostat()}
+	start, vertex := measure.CVWindowFor(a.Binding.PeakPotential)
 	ref := 0.0
 	for _, mvs := range []float64{20, 50, 100, 200, 500, 1000, 2000} {
-		we := electrode.NewWorking("WE1", electrode.Bare, a)
-		sol := cell.NewSolution().Set("benzphetamine", phys.MilliMolar(1))
-		c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
-		eng, err := measure.NewEngine(c, 29)
-		if err != nil {
-			return nil, err
-		}
-		chain := analog.NewPicoChain(nil, eng.RNG())
-		start, vertex := measure.CVWindowFor(a.Binding.PeakPotential)
 		basis, err := eng.CVFluxBasis("WE1", measure.CyclicVoltammetry{
 			Start: start, Vertex: vertex,
 			Rate: phys.MilliVoltsPerSecond(mvs),
