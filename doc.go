@@ -349,9 +349,20 @@
 //     reordering submission indices — the per-panel seed derivation
 //     and ReplayPanel's bit-identical replay contract are untouched.
 //
+//   - Monitor ticks run the same way: Executor.RunMonitor draws a
+//     pooled scratch holding, per chronoamperometric electrode plan,
+//     the working electrode (reset from its as-built template, then
+//     aged), its solution, the single-chamber cell, the engine and
+//     the chain, plus one trace arena and the step-analysis buffers
+//     (signalproc.StepScratch, which AnalyzeStep wraps). Every tick
+//     resets, reseeds and rebinds that state, so a tick on a warm
+//     scratch is bit-identical to one on a fresh Executor; a warm
+//     cohort-shaped tick allocates two objects.
+//
 // Retention contract: everything a run returns (trace series, panel
-// readings) is freshly allocated and caller-owned; results never alias
-// engine scratch and remain valid after later runs on the same engine.
+// readings, monitor traces) is freshly allocated and caller-owned;
+// results never alias engine scratch or the pooled monitor arena and
+// remain valid after later runs on the same engine.
 // A CVBasis is immutable after construction and safe for concurrent
 // readers.
 //

@@ -76,10 +76,17 @@ func (s *Solution) Set(species string, c phys.Concentration) *Solution {
 }
 
 // Inject schedules a concentration step. Injections may be added in any
-// order; they are sorted internally.
+// order; the list stays time-ordered, and steps at equal times keep
+// their injection order (the step lands after every step with
+// Time <= t).
 func (s *Solution) Inject(t float64, species string, delta phys.Concentration) *Solution {
-	s.injections = append(s.injections, Injection{Time: t, Species: species, Delta: delta})
-	sort.SliceStable(s.injections, func(i, j int) bool { return s.injections[i].Time < s.injections[j].Time })
+	i := len(s.injections)
+	for i > 0 && t < s.injections[i-1].Time {
+		i--
+	}
+	s.injections = append(s.injections, Injection{})
+	copy(s.injections[i+1:], s.injections[i:])
+	s.injections[i] = Injection{Time: t, Species: species, Delta: delta}
 	s.noteSpecies(species)
 	return s
 }
@@ -107,6 +114,12 @@ func (s *Solution) At(species string, t float64) phys.Concentration {
 func (s *Solution) Species() []string {
 	return append([]string(nil), s.names...)
 }
+
+// SpeciesView is Species without the copy, for per-run loops: the
+// returned slice aliases the solution's sorted name list. The caller
+// must not modify it, and it is valid only until the next Set, Inject
+// or Reset.
+func (s *Solution) SpeciesView() []string { return s.names }
 
 // Sampler is an O(1)-per-call view of one species' concentration
 // timeline. Where Solution.At pays a map lookup plus a scan of the full

@@ -2,6 +2,9 @@ package cell
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +56,43 @@ func TestSolutionInjectionOrdering(t *testing.T) {
 	}
 	if got := s.At("x", 25).MilliMolar(); got != 2 {
 		t.Fatalf("At(25) = %g, want 2", got)
+	}
+}
+
+// TestSolutionInjectMatchesStableSort: Inject's in-place insertion
+// must leave the injection list exactly as appending and re-sorting
+// with sort.SliceStable would, on random sequences dense in tied times
+// (ties keep their injection order), across Reset reuse.
+func TestSolutionInjectMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 11))
+	s := NewSolution()
+	for trial := 0; trial < 500; trial++ {
+		s.Reset()
+		var want []Injection
+		for k, n := 0, rng.IntN(30); k < n; k++ {
+			inj := Injection{
+				Time:    float64(rng.IntN(6)), // few distinct times: many ties
+				Species: []string{"x", "y", "z"}[rng.IntN(3)],
+				Delta:   phys.Concentration(k + 1), // identifies the step
+			}
+			s.Inject(inj.Time, inj.Species, inj.Delta)
+			want = append(want, inj)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		}
+		if !slices.Equal(s.injections, want) {
+			t.Fatalf("trial %d: injections %v, want %v", trial, s.injections, want)
+		}
+	}
+}
+
+func TestSolutionSpeciesView(t *testing.T) {
+	s := NewSolution().Set("b", 1).Set("a", 1)
+	s.Inject(1, "c", 1)
+	if got := s.SpeciesView(); !slices.Equal(got, s.Species()) {
+		t.Fatalf("view %v, copy %v", got, s.Species())
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = s.SpeciesView() }); a != 0 {
+		t.Fatalf("SpeciesView allocated %g objects", a)
 	}
 }
 

@@ -23,24 +23,10 @@ var ErrBadFit = errors.New("mathx: degenerate regression input")
 
 // FitLinear performs ordinary least squares of y on x.
 func FitLinear(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) || len(x) < 2 {
-		return LinearFit{}, ErrBadFit
+	slope, intercept, syy, err := LinearCoeffs(x, y)
+	if err != nil {
+		return LinearFit{}, err
 	}
-	n := float64(len(x))
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, ErrBadFit
-	}
-	slope := sxy / sxx
-	intercept := my - slope*mx
 	fit := LinearFit{Slope: slope, Intercept: intercept}
 	fit.Residuals = make([]float64, len(x))
 	ssRes := 0.0
@@ -57,8 +43,31 @@ func FitLinear(x, y []float64) (LinearFit, error) {
 	} else {
 		fit.R2 = 1
 	}
-	_ = n
 	return fit, nil
+}
+
+// LinearCoeffs is FitLinear's coefficient pass alone: the same slope
+// and intercept, bit for bit, plus the total sum of squares of y (the
+// R² denominator), without the residual array. Callers that need
+// residuals recompute y_i − (Slope·x_i + Intercept) in order.
+func LinearCoeffs(x, y []float64) (slope, intercept, syy float64, err error) {
+	if len(x) != len(y) || len(x) < 2 {
+		return 0, 0, 0, ErrBadFit
+	}
+	mx, my := Mean(x), Mean(y)
+	var sxx, sxy float64
+	for i := range x {
+		dx := x[i] - mx
+		dy := y[i] - my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if sxx == 0 {
+		return 0, 0, 0, ErrBadFit
+	}
+	slope = sxy / sxx
+	return slope, my - slope*mx, syy, nil
 }
 
 // Eval returns Slope·x + Intercept.

@@ -269,7 +269,7 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	}
 	// Direct-oxidizer interferents react at any electrode.
 	e.interferents = e.interferents[:0]
-	for _, name := range ch.Solution.Species() {
+	for _, name := range ch.Solution.SpeciesView() {
 		sp, err := species.Lookup(name)
 		if err != nil {
 			//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep

@@ -8,9 +8,11 @@ import (
 	"advdiag/internal/analysis"
 	"advdiag/internal/cell"
 	"advdiag/internal/core"
+	"advdiag/internal/electrode"
 	"advdiag/internal/enzyme"
 	"advdiag/internal/measure"
 	"advdiag/internal/phys"
+	"advdiag/internal/signalproc"
 )
 
 // panelScratch is the reusable per-goroutine state of a panel run: the
@@ -254,4 +256,85 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 	}
 	out.Readings = MergeReplicas(s.readings)
 	return out, nil
+}
+
+// monitorScratch is the reusable per-goroutine state of a monitor tick:
+// one isolated monitoring rig per chronoamperometric electrode plan
+// (keyed by plan name), the trace arena the rigs' engines carve their
+// series from, and the step-analysis buffers. Like panelScratch it
+// only recycles allocations — every tick resets the electrode from its
+// template, refills the solution, reseeds the engine and rebinds the
+// chain — so a tick on a warm scratch is bit-identical to one on a
+// fresh Executor. Scratches live in the Executor's monitor pool.
+type monitorScratch struct {
+	rigs  map[string]*monitorRig
+	arena measure.Arena
+	step  signalproc.StepScratch
+}
+
+// monitorRig is one electrode plan's single-chamber monitoring cell:
+// the working electrode (with the as-built template it is reset from
+// before each tick's age and polymer are applied), the chamber
+// solution, the engine over the cell, and the plan's acquisition
+// chain.
+type monitorRig struct {
+	tmpl  electrode.Electrode
+	we    *electrode.Electrode
+	sol   *cell.Solution
+	eng   *measure.Engine
+	chain *analog.Chain
+}
+
+func (e *Executor) getMonitorScratch() *monitorScratch {
+	if v := e.monitors.Get(); v != nil {
+		return v.(*monitorScratch)
+	}
+	return &monitorScratch{}
+}
+
+// rig returns the scratch's rig for the electrode plan, building it on
+// first use. A dedicated cell per plan keeps the platform's shared
+// electrode objects untouched (film age is per-acquisition state).
+func (s *monitorScratch) rig(e *Executor, ep core.ElectrodePlan) (*monitorRig, error) {
+	if r := s.rigs[ep.Name]; r != nil {
+		return r, nil
+	}
+	we := electrode.NewWorking(ep.Name, ep.Nano, ep.Assays[0])
+	r := &monitorRig{tmpl: *we, we: we, sol: cell.NewSolution()}
+	c := cell.NewSingleChamber(r.sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
+	eng, err := measure.NewEngine(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	eng.SetArena(&s.arena)
+	// The chain's RNG draws are replayed by Rebind on every tick.
+	chain, err := e.inner.ChainFor(ep.Name, eng.RNG())
+	if err != nil {
+		return nil, err
+	}
+	r.eng, r.chain = eng, chain
+	if s.rigs == nil {
+		s.rigs = make(map[string]*monitorRig)
+	}
+	s.rigs[ep.Name] = r
+	return r, nil
+}
+
+// prepare rebuilds the rig for one tick: the electrode reset to its
+// as-built state and aged, the solution refilled, the engine reseeded
+// and the chain rebound — exactly the state a freshly built cell,
+// NewEngine(cell, seed) and ChainFor(eng.RNG()) would give.
+func (r *monitorRig) prepare(spec MonitorSpec, seed uint64) {
+	*r.we = r.tmpl
+	r.we.Func.PolymerStabilized = spec.Polymer
+	r.we.Func.AgeSeconds = spec.AgeHours * 3600
+	r.sol.Reset()
+	if spec.ConcentrationMM > 0 {
+		r.sol.Set(spec.Target, phys.MilliMolar(spec.ConcentrationMM))
+	}
+	for _, inj := range spec.Injections {
+		r.sol.Inject(inj.AtSeconds, spec.Target, phys.MilliMolar(inj.DeltaMM))
+	}
+	r.eng.Reseed(seed)
+	r.chain.Rebind(r.eng.RNG())
 }

@@ -5,9 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 
-	"advdiag/internal/cell"
 	"advdiag/internal/core"
-	"advdiag/internal/electrode"
 	"advdiag/internal/enzyme"
 	"advdiag/internal/mathx"
 	"advdiag/internal/measure"
@@ -87,6 +85,12 @@ const stepThreshold = 0.2
 //     injection, with the analyzed segment truncated at the second
 //     injection (the analysis contract of MonitorAnalysis).
 func AnalyzeMonitorTrace(times, microAmps []float64, stimulusSeconds float64, injections []Injection) (MonitorAnalysis, error) {
+	return analyzeMonitorTrace(&signalproc.StepScratch{}, times, microAmps, stimulusSeconds, injections)
+}
+
+// analyzeMonitorTrace is AnalyzeMonitorTrace over a reusable step
+// scratch.
+func analyzeMonitorTrace(sc *signalproc.StepScratch, times, microAmps []float64, stimulusSeconds float64, injections []Injection) (MonitorAnalysis, error) {
 	if len(injections) == 0 && stimulusSeconds <= 0 {
 		mean := 0.0
 		for _, v := range microAmps {
@@ -119,7 +123,7 @@ func AnalyzeMonitorTrace(times, microAmps []float64, stimulusSeconds float64, in
 			aTimes, aCurs = times[:cut], microAmps[:cut]
 		}
 	}
-	step, err := signalproc.AnalyzeStep(aTimes, aCurs, stim, stepThreshold)
+	step, err := sc.Analyze(aTimes, aCurs, stim, stepThreshold)
 	if err != nil {
 		return MonitorAnalysis{}, err
 	}
@@ -224,6 +228,12 @@ type MonitorTrace struct {
 // the noise stream is seeded by the caller (schedulers derive it from
 // campaign identity via MonitorSeed), so two calls with the same spec
 // and seed are byte-identical on any goroutine, worker, or shard.
+//
+// The cell, engine, chain, trace buffers and analysis buffers come
+// from a pooled monitorScratch and are rebuilt per call; the returned
+// trace is freshly allocated and owned by the caller.
+//
+//advdiag:hotpath
 func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, error) {
 	if err := spec.Validate(); err != nil {
 		return MonitorTrace{}, err
@@ -236,30 +246,23 @@ func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, erro
 	if err != nil {
 		return MonitorTrace{}, err
 	}
+	s := e.getMonitorScratch()
+	out, err := e.monitorWith(s, ep, cal, spec, seed)
+	e.monitors.Put(s)
+	return out, err
+}
 
-	// A dedicated cell per run: the platform's shared electrode objects
-	// must not be mutated (film age is per-acquisition state), so the
-	// working electrode is rebuilt from its plan with the requested age.
-	we := electrode.NewWorking(ep.Name, ep.Nano, ep.Assays[0])
-	we.Func.PolymerStabilized = spec.Polymer
-	we.Func.AgeSeconds = spec.AgeHours * 3600
-	sol := cell.NewSolution()
-	if spec.ConcentrationMM > 0 {
-		sol.Set(spec.Target, phys.MilliMolar(spec.ConcentrationMM))
-	}
-	for _, inj := range spec.Injections {
-		sol.Inject(inj.AtSeconds, spec.Target, phys.MilliMolar(inj.DeltaMM))
-	}
-	c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
-	eng, err := measure.NewEngine(c, seed)
+// monitorWith is the monitor kernel: RunMonitor's acquisition and
+// analysis over a reusable scratch.
+func (e *Executor) monitorWith(s *monitorScratch, ep core.ElectrodePlan, cal *weCalib, spec MonitorSpec, seed uint64) (MonitorTrace, error) {
+	r, err := s.rig(e, ep)
 	if err != nil {
 		return MonitorTrace{}, err
 	}
-	chain, err := e.inner.ChainFor(ep.Name, eng.RNG())
-	if err != nil {
-		return MonitorTrace{}, err
-	}
-	res, err := eng.RunCA(ep.Name, chain, measure.Chronoamperometry{
+	r.prepare(spec, seed)
+	// The previous tick's traces were copied out; recycle their buffers.
+	s.arena.Reset()
+	res, err := r.eng.RunCA(ep.Name, r.chain, measure.Chronoamperometry{
 		Duration:      spec.DurationSeconds,
 		BaselinePhase: spec.BaselineSeconds,
 	})
@@ -267,12 +270,17 @@ func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, erro
 		return MonitorTrace{}, err
 	}
 
-	out := MonitorTrace{TimesSeconds: res.Current.Times()}
-	out.CurrentsMicroAmps = make([]float64, res.Current.Len())
+	// Both series share one allocation; the capacity caps keep an
+	// append to one from overwriting the other.
+	n := res.Current.Len()
+	buf := make([]float64, 2*n)
+	var out MonitorTrace
+	out.TimesSeconds, out.CurrentsMicroAmps = buf[:n:n], buf[n:]
 	for i, v := range res.Current.Values {
+		out.TimesSeconds[i] = res.Current.Time(i)
 		out.CurrentsMicroAmps[i] = v * 1e6
 	}
-	out.Analysis, err = AnalyzeMonitorTrace(out.TimesSeconds, out.CurrentsMicroAmps, spec.BaselineSeconds, spec.Injections)
+	out.Analysis, err = analyzeMonitorTrace(&s.step, out.TimesSeconds, out.CurrentsMicroAmps, spec.BaselineSeconds, spec.Injections)
 	if err != nil {
 		return MonitorTrace{}, err
 	}

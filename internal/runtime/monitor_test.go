@@ -3,7 +3,10 @@ package runtime
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"advdiag/internal/core"
 )
 
 func TestMonitorSpecValidate(t *testing.T) {
@@ -225,4 +228,147 @@ func TestExecutorAccessors(t *testing.T) {
 	if len(mt) == 0 || len(mt) >= len(tg) {
 		t.Fatalf("monitorable %v of %v: the CV target must not qualify", mt, tg)
 	}
+}
+
+// oxidaseExecutor builds a warmed executor serving the three oxidase
+// (chronoamperometric) targets of the Fig. 4 demonstrator.
+func oxidaseExecutor(t *testing.T) *Executor {
+	t.Helper()
+	best, err := core.BestWith(core.Requirements{
+		Targets: []core.TargetSpec{{Species: "glucose"}, {Species: "lactate"}, {Species: "glutamate"}},
+	}, core.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.Synthesize(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor(inner, 21)
+	if err := e.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// sameTrace compares two monitor traces bit for bit.
+func sameTrace(a, b MonitorTrace) bool {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	fa := []float64{a.Analysis.T90Seconds, a.Analysis.TransientSeconds, a.Analysis.BaselineMicroAmps,
+		a.Analysis.SteadyMicroAmps, a.StepMicroAmps, a.EstimatedMM}
+	fb := []float64{b.Analysis.T90Seconds, b.Analysis.TransientSeconds, b.Analysis.BaselineMicroAmps,
+		b.Analysis.SteadyMicroAmps, b.StepMicroAmps, b.EstimatedMM}
+	return same(a.TimesSeconds, b.TimesSeconds) && same(a.CurrentsMicroAmps, b.CurrentsMicroAmps) &&
+		same(fa, fb) && a.Analysis.Settled == b.Analysis.Settled
+}
+
+// TestRunMonitorWarmScratchBitIdentical: one executor runs an
+// interleaved sequence of ticks — every oxidase target, fresh and aged
+// films with and without polymer, zero to two injections, with and
+// without a baseline phase, 6 to 150 s traces — so each tick lands on
+// a pooled scratch the previous, differently shaped ticks left behind.
+// Every trace must equal the one a fresh executor records.
+func TestRunMonitorWarmScratchBitIdentical(t *testing.T) {
+	warm := oxidaseExecutor(t)
+	targets := warm.MonitorTargets()
+	if len(targets) != 3 {
+		t.Fatalf("monitorable targets %v, want the three oxidase targets", targets)
+	}
+	durations := []float64{6, 30, 60, 150}
+	ages := []float64{0, 120}
+	for k := 0; k < 48; k++ {
+		dur := durations[k%len(durations)]
+		spec := MonitorSpec{
+			Target:          targets[k%3],
+			ConcentrationMM: 0.5 + 0.25*float64(k%5),
+			DurationSeconds: dur,
+			AgeHours:        ages[(k/3)%2],
+			Polymer:         (k/2)%2 == 1,
+		}
+		if (k/4)%2 == 1 {
+			spec.BaselineSeconds = dur / 3
+		}
+		switch (k / 8) % 3 {
+		case 1:
+			spec.Injections = []Injection{{AtSeconds: dur / 4, DeltaMM: 1}}
+		case 2:
+			spec.Injections = []Injection{{AtSeconds: dur * 3 / 4, DeltaMM: -0.5}, {AtSeconds: dur / 4, DeltaMM: 1}}
+		}
+		seed := MonitorSeed(warm.Seed(), "warm", k)
+		got, err := warm.RunMonitor(spec, seed)
+		if err != nil {
+			t.Fatalf("tick %d (%+v): %v", k, spec, err)
+		}
+		want, err := NewExecutor(warm.inner, warm.Seed()).RunMonitor(spec, seed)
+		if err != nil {
+			t.Fatalf("tick %d (%+v) on a fresh executor: %v", k, spec, err)
+		}
+		if !sameTrace(got, want) {
+			t.Fatalf("tick %d (%+v): warm-scratch trace differs from a fresh executor's", k, spec)
+		}
+	}
+}
+
+// TestMonitorTraceSeriesIndependent: the two recorded series share one
+// allocation, so appending to the times must not overwrite currents.
+func TestMonitorTraceSeriesIndependent(t *testing.T) {
+	e := oxidaseExecutor(t)
+	tr, err := e.RunMonitor(MonitorSpec{Target: "glucose", ConcentrationMM: 1, DurationSeconds: 6, BaselineSeconds: 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := tr.CurrentsMicroAmps[0]
+	_ = append(tr.TimesSeconds, -1)
+	if tr.CurrentsMicroAmps[0] != first {
+		t.Fatal("appending to TimesSeconds overwrote CurrentsMicroAmps")
+	}
+}
+
+// TestRunMonitorConcurrent: goroutines sharing one executor each draw
+// their own pooled scratch, so concurrent ticks reproduce the traces a
+// sequential run records.
+func TestRunMonitorConcurrent(t *testing.T) {
+	e := oxidaseExecutor(t)
+	targets := e.MonitorTargets()
+	spec := func(k int) MonitorSpec {
+		return MonitorSpec{Target: targets[k%len(targets)], ConcentrationMM: 1 + float64(k%4),
+			DurationSeconds: 6 + float64(k%3)*12, BaselineSeconds: 2, AgeHours: float64(k)}
+	}
+	const ticks = 24
+	want := make([]MonitorTrace, ticks)
+	for k := range want {
+		tr, err := e.RunMonitor(spec(k), uint64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = tr
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := g; k < ticks; k += 4 {
+				got, err := e.RunMonitor(spec(k), uint64(k))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !sameTrace(got, want[k]) {
+					t.Errorf("tick %d: concurrent trace differs from the sequential one", k)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

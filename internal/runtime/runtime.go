@@ -14,8 +14,9 @@
 // Platform.RunPanel, the Lab and the Fleet are thin adapters over an
 // Executor: they add batching, scheduling and statistics but never
 // duplicate execution logic. An Executor is safe for any number of
-// concurrent Run calls — each run builds its own measurement engine
-// and only reads the warmed calibration cache.
+// concurrent Run and RunMonitor calls — each run works on its own
+// pooled scratch (cell, engine, chains, trace buffers) and only reads
+// the warmed calibration cache.
 package runtime
 
 import (
@@ -57,8 +58,10 @@ type Executor struct {
 
 	// scratch pools panelScratch values (the reusable cell + engine +
 	// chain + trace state of a panel run) so sequential runs recycle
-	// their allocations. See panelScratch in batch.go.
-	scratch sync.Pool
+	// their allocations; monitors pools monitorScratch values, the
+	// monitor lane's equivalent. See batch.go.
+	scratch  sync.Pool
+	monitors sync.Pool
 }
 
 // NewExecutor builds the execution engine for a synthesized platform.

@@ -28,24 +28,41 @@ type StepResponse struct {
 // AnalyzeStep characterizes a step response. times/values are the
 // sampled signal, stimulusTime the moment the analyte was added.
 // tailFrac is the final fraction of the series treated as steady state
-// (e.g. 0.2).
+// (e.g. 0.2). It is StepScratch.Analyze on a fresh scratch.
 func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepResponse, error) {
+	var s StepScratch
+	return s.Analyze(times, values, stimulusTime, tailFrac)
+}
+
+// StepScratch holds the working buffers of a step analysis so that
+// repeated analyses — one per monitor tick — reuse them instead of
+// allocating. The zero value is ready to use. A StepScratch belongs to
+// one goroutine; results never alias its buffers.
+type StepScratch struct {
+	post, postT, smooth []float64
+}
+
+// Analyze is AnalyzeStep over the scratch's buffers: the same
+// arithmetic in the same order, so the result is bit-identical, and no
+// allocation once the buffers have grown to the series length.
+func (s *StepScratch) Analyze(times, values []float64, stimulusTime, tailFrac float64) (StepResponse, error) {
 	if len(times) != len(values) || len(values) < 8 {
 		return StepResponse{}, ErrTooShort
 	}
 	var resp StepResponse
 
 	// Baseline: mean of samples strictly before the stimulus.
-	var pre []float64
+	preSum, nPre := 0.0, 0
 	for i, t := range times {
 		if t < stimulusTime {
-			pre = append(pre, values[i])
+			preSum += values[i]
+			nPre++
 		}
 	}
-	if len(pre) == 0 {
+	if nPre == 0 {
 		resp.Baseline = values[0]
 	} else {
-		resp.Baseline = mathx.Mean(pre)
+		resp.Baseline = preSum / float64(nPre)
 	}
 
 	// Steady state: mean of the final tail.
@@ -68,14 +85,14 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 	// threshold crossings early; smooth with a centered window (~2.5 %
 	// of the record) before timing, as an experimenter would.
 	level := resp.Baseline + 0.9*step
-	var post []float64
-	var postT []float64
+	s.post, s.postT = s.post[:0], s.postT[:0]
 	for i, t := range times {
 		if t >= stimulusTime {
-			post = append(post, values[i])
-			postT = append(postT, t)
+			s.post = append(s.post, values[i])
+			s.postT = append(s.postT, t)
 		}
 	}
+	post, postT := s.post, s.postT
 	if w := len(post) / 40; w >= 3 {
 		if w%2 == 0 {
 			w++
@@ -83,19 +100,33 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 		if w > 51 {
 			w = 51
 		}
-		post = MovingAverage(post, w)
+		s.smooth = MovingAverageInto(s.smooth, post, w)
+		post = s.smooth
 	}
 	if len(post) >= 2 {
 		if tc, err := mathx.CrossingTime(postT, post, level); err == nil {
 			resp.T90 = tc - stimulusTime
 			resp.Settled = settled(tailTimes, tail, step, resp.T90, stimulusTime)
 		}
-		// Transient response time: max |dV/dt| after the stimulus.
-		dt := postT[1] - postT[0]
-		if d, err := Derivative(post, dt); err == nil {
+		// Transient response time: max |dV/dt| after the stimulus — the
+		// argmax of Derivative(post, dt), taken in index order without
+		// materializing the derivative. Like Derivative, only a
+		// non-positive spacing is refused; a NaN one runs (and leaves
+		// the argmax at 0).
+		if dt := postT[1] - postT[0]; !(dt <= 0) {
+			last := len(post) - 1
 			maxI, maxD := 0, 0.0
-			for i, v := range d {
-				if a := abs(v); a > maxD {
+			for i := range post {
+				var d float64
+				switch i {
+				case 0:
+					d = (post[1] - post[0]) / dt
+				case last:
+					d = (post[last] - post[last-1]) / dt
+				default:
+					d = (post[i+1] - post[i-1]) / (2 * dt)
+				}
+				if a := abs(d); a > maxD {
 					maxD, maxI = a, i
 				}
 			}
@@ -131,24 +162,26 @@ func settled(tailTimes, tail []float64, step, t90, stimulusTime float64) bool {
 			return false
 		}
 	}
-	fit, err := mathx.FitLinear(tailTimes, tail)
+	slope, intercept, _, err := mathx.LinearCoeffs(tailTimes, tail)
 	if err != nil {
 		return false
 	}
 	// Standard error of the fitted drift slope·(t1 − t0):
-	// √(Σr²/(n−2) / Σ(t − t̄)²)·(t1 − t0).
+	// √(Σr²/(n−2) / Σ(t − t̄)²)·(t1 − t0), with the residuals r
+	// recomputed in order.
 	se := 0.0
 	if n := len(tail); n > 2 {
 		mt := mathx.Mean(tailTimes)
 		var rss, sxx float64
-		for i, r := range fit.Residuals {
+		for i, y := range tail {
+			r := y - (slope*tailTimes[i] + intercept)
 			d := tailTimes[i] - mt
 			rss += r * r
 			sxx += d * d
 		}
 		se = math.Sqrt(rss/float64(n-2)/sxx) * (t1 - t0)
 	}
-	return abs(fit.Slope*(t1-t0)) < settleTolerance*abs(step)+3*se
+	return abs(slope*(t1-t0)) < settleTolerance*abs(step)+3*se
 }
 
 func abs(x float64) float64 {
