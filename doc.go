@@ -24,12 +24,13 @@
 //   - Explore: the raw design-space exploration, returning every scored
 //     candidate and the area/power/latency Pareto front.
 //
-//   - Lab: the run-time service over a designed Platform. It caches the
-//     per-electrode calibration state once (keyed by sensor construction
-//     and seed) and executes panels concurrently — RunPanels for
-//     batches, Submit/Results for streams — with deterministic
-//     per-sample seeding, per-panel timing from the acquisition
-//     schedule, and aggregate throughput/cache statistics.
+//   - Lab: the run-time batch runner over a designed Platform. It
+//     caches the per-electrode calibration state once (keyed by sensor
+//     construction and seed) and executes RunPanels batches
+//     concurrently, with deterministic per-sample seeding, per-panel
+//     timing from the acquisition schedule, and aggregate
+//     throughput/cache statistics. Samples that arrive over time go
+//     through a Fleet (a one-shard Fleet matches its Lab).
 //
 //   - Fleet: the scale-out dispatcher over many Platforms. Each shard
 //     is a platform with its own worker pool and bounded queue; a
@@ -86,7 +87,7 @@
 //	┌───────▼──┐  ┌────▼─────┐  ┌─▼────────┐
 //	│ advdiag. │  │ advdiag. │  │ advdiag. │
 //	│   Lab    │  │   Lab    │  │   Lab    │
-//	│ batching · streaming · stats · timing │
+//	│       batching · stats · timing       │
 //	└───────┬──────────┬──────────┬─────────┘
 //	        └──────────┼──────────┘
 //	┌──────────────────▼───────────────────────┐
@@ -97,7 +98,7 @@
 //
 // Platform.RunPanel is the zero-concurrency adapter over the same
 // Executor (it runs with the raw platform seed); a Lab is one shard's
-// worth of service; a Fleet multiplexes samples across shards without
+// batch runner; a Fleet multiplexes samples across shards without
 // ever touching execution logic. Because a Lab or Fleet sample's noise
 // stream is seeded from the base seed and its submission index alone
 // (runtime.SampleSeed), the two serving layers are bit-for-bit
@@ -107,9 +108,10 @@
 // service's first accepted sample; see Fleet's determinism note for
 // reused dispatchers).
 //
-// Use a Lab when one platform design serves all traffic and a single
-// machine's worker pool is enough. Use a Fleet when traffic mixes
-// panel types that belong on different platform designs (route by
+// Use a Lab when one platform design serves a batch known up front and
+// a single machine's worker pool is enough. Use a Fleet when samples
+// arrive over time (Submit/Results), when traffic mixes panel types
+// that belong on different platform designs (route by
 // AffinityRouter), when one instrument's throughput ceiling is the
 // bottleneck (identical shards behind LeastLoadedRouter), or when
 // per-patient affinity matters for longitudinal tracking (HashRouter).
@@ -343,11 +345,13 @@
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples
-//     using pooled scratch arenas (sync.Pool), Lab chunks its queue
-//     through it, and Fleet shards opportunistically coalesce queued
-//     compatible jobs into bounded batches (at most 16) without
-//     reordering submission indices — the per-panel seed derivation
-//     and ReplayPanel's bit-identical replay contract are untouched.
+//     using pooled scratch arenas (sync.Pool). Lab.RunPanels chunks
+//     its batch through it, and Fleet shards opportunistically
+//     coalesce queued compatible jobs into bounded batches (at most
+//     16) without reordering submission indices; a job a shard
+//     dispatches on its own runs as a batch of one, so every served
+//     panel takes the same path. The per-panel seed derivation and
+//     ReplayPanel's bit-identical replay contract are untouched.
 //
 //   - Monitor ticks run the same way: Executor.RunMonitor draws a
 //     pooled scratch holding, per chronoamperometric electrode plan,

@@ -38,12 +38,13 @@ var ErrFleetClosed = errors.New("advdiag: fleet is closed")
 // policy chose the shard therefore never influence the result: for the
 // same submission sequence, a Fleet of identical platforms is
 // byte-identical to a single Lab, at any shard count, under any
-// Router. The index is the fleet's lifetime acceptance counter (like a
-// Lab's streaming Submit counter), so the k-th sample ever accepted
-// matches the k-th sample of the Lab run — a second RunPanels batch on
-// a reused Fleet continues the sequence rather than restarting at 0
-// the way Lab.RunPanels does; compare whole submission histories (or
-// use a fresh Fleet per comparison).
+// Router. The index is the fleet's lifetime acceptance counter, so the
+// k-th sample ever accepted matches sample k of a Lab.RunPanels batch
+// — a second RunPanels batch on a reused Fleet continues the sequence
+// rather than restarting at 0 the way Lab.RunPanels does; compare
+// whole submission histories (or use a fresh Fleet per comparison). A
+// one-shard Fleet also matches its Lab's instrument slots
+// (ScheduledStartSeconds), so it is the Lab's streaming form.
 //
 // The contract survives topology changes: AddShard and RemoveShard
 // reshape the fleet under live load, so "byte-identical to one fixed
@@ -168,11 +169,13 @@ type fleetShard struct {
 
 // fleetJob carries one routed sample: seedIdx is the fleet-wide
 // submission index (the determinism anchor), schedIdx the per-shard
-// instrument slot. When monitor is non-nil the job is a monitoring
-// acquisition instead: seedIdx is then the monitor acceptance index
-// (ordering only — the request carries its own seed) and schedIdx is
-// unused, because monitor campaigns live on a virtual timeline, not
-// the shard's back-to-back instrument schedule.
+// instrument slot. Lab.runBatch takes panel jobs in this form; a plain
+// Lab batch sets both indices to the sample's batch position. When
+// monitor is non-nil the job is a monitoring acquisition instead:
+// seedIdx is then the monitor acceptance index (ordering only — the
+// request carries its own seed) and schedIdx is unused, because
+// monitor campaigns live on a virtual timeline, not the shard's
+// back-to-back instrument schedule.
 type fleetJob struct {
 	seedIdx, schedIdx int
 	sample            Sample
@@ -198,6 +201,15 @@ type shardFaultState struct {
 	// lifted is closed when the dead fault lifts (quarantine, clear, or
 	// fleet close); parked workers resume from it.
 	lifted chan struct{}
+}
+
+// panelFouling is the fouling a panel runs under in this fault state
+// (nil when the shard is healthy).
+func (fs *shardFaultState) panelFouling() *rt.Fouling {
+	if fs == nil {
+		return nil
+	}
+	return fs.fouling
 }
 
 // flakyState is a FaultFlakyShard's compiled duty cycle: a shared slot
@@ -492,7 +504,7 @@ func (f *Fleet) shardWorker(sh *fleetShard) {
 				break drain
 			}
 		}
-		f.runJobBatch(sh, jobs, fs)
+		f.runJobBatch(sh, jobs, fs.panelFouling())
 		if hasTail {
 			f.dispatchJob(sh, tail)
 		}
@@ -510,26 +522,16 @@ func batchableFault(fs *shardFaultState) bool {
 	return fs == nil || (!fs.dead && fs.flaky == nil && fs.delay == 0)
 }
 
-// runJobBatch executes a coalesced run of panel jobs under one fault
-// snapshot and delivers the outcomes in submission order. Fault states
-// injected mid-batch take effect from the next dequeue, exactly as a
-// fault injected mid-panel waits for the next job on the per-job path.
-func (f *Fleet) runJobBatch(sh *fleetShard, jobs []fleetJob, fs *shardFaultState) {
-	var fouling *rt.Fouling
-	if fs != nil {
-		fouling = fs.fouling
-	}
-	if len(jobs) == 1 {
-		f.runJob(sh, jobs[0], fouling)
-		return
-	}
-	lj := make([]labBatchJob, len(jobs))
-	for i, j := range jobs {
-		lj[i] = labBatchJob{seedIdx: j.seedIdx, schedIdx: j.schedIdx, sample: j.sample}
-	}
-	outs := make([]PanelOutcome, len(jobs))
-	sh.lab.runBatch(lj, fouling, outs)
-	for i := range outs {
+// runJobBatch executes a run of at most labBatchMax panel jobs under
+// one fouling snapshot and delivers the outcomes in submission order.
+// Every served panel goes through here — a coalesced drain and a
+// single dispatched job (a batch of one) alike. Fault states injected
+// mid-batch take effect from the next dequeue, exactly as a fault
+// injected mid-panel waits for the next job on the per-job path.
+func (f *Fleet) runJobBatch(sh *fleetShard, jobs []fleetJob, fouling *rt.Fouling) {
+	var outs [labBatchMax]PanelOutcome
+	sh.lab.runBatch(jobs, fouling, outs[:len(jobs)])
+	for i := range jobs {
 		outs[i].Shard = sh.index
 		f.results <- outs[i]
 		f.complete(sh, false)
@@ -561,11 +563,7 @@ func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 		if fs != nil && fs.delay > 0 {
 			time.Sleep(fs.delay)
 		}
-		var fouling *rt.Fouling
-		if fs != nil {
-			fouling = fs.fouling
-		}
-		f.runJob(sh, job, fouling)
+		f.runJob(sh, job, fs.panelFouling())
 		return
 	}
 }
@@ -616,7 +614,8 @@ func (f *Fleet) rerouteStraggler(sh *fleetShard, job fleetJob) bool {
 	return true
 }
 
-// runJob executes one routed job on its shard and delivers the outcome.
+// runJob executes one routed job on its shard and delivers the outcome:
+// a monitor acquisition on the monitor lane, a panel as a batch of one.
 func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
 	if job.monitor != nil {
 		out := sh.lab.runMonitor(job.seedIdx, *job.monitor)
@@ -625,10 +624,7 @@ func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
 		f.complete(sh, true)
 		return
 	}
-	out := sh.lab.runIndexed(job.seedIdx, job.schedIdx, job.sample, fouling)
-	out.Shard = sh.index
-	f.results <- out
-	f.complete(sh, false)
+	f.runJobBatch(sh, []fleetJob{job}, fouling)
 }
 
 // parkJob holds a job a dead shard's worker dequeued: the job joins the

@@ -504,10 +504,8 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	if err := chain.Validate(); err != nil {
 		return nil, err
 	}
-	if !proto.AllowFastSweep {
-		if err := analog.CheckSweepRate(proto.Rate); err != nil {
-			return nil, err
-		}
+	if err := analog.CheckSweepRate(proto.Rate); err != nil {
+		return nil, err
 	}
 	we, err := e.Cell.FindWE(weName)
 	if err != nil {

@@ -64,9 +64,6 @@ type CyclicVoltammetry struct {
 	// SampleInterval is the recording interval; zero defaults to the
 	// time of a 1 mV potential step at the chosen rate.
 	SampleInterval float64
-	// AllowFastSweep skips the cell sweep-rate check, for runs that
-	// probe sweeps past the cell limit.
-	AllowFastSweep bool
 	// NoFilmBackground disables the run-to-run film background bumps,
 	// for runs that isolate the electrode kinetics.
 	NoFilmBackground bool

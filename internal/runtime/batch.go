@@ -76,27 +76,26 @@ func (s *panelScratch) faradaicFor(eng *measure.Engine, weName string, cal *weCa
 }
 
 // RunBatch executes many panels over one reused scratch: sample i runs
-// with seeds[i], and the i-th result lands in the i-th output slot.
-// Each panel is bit-identical to a standalone RunFouled(samples[i],
+// with seeds[i], and its result and error land in panels[i] and
+// errs[i], slices the caller provides (all four the same length). Each
+// panel is bit-identical to a standalone RunFouled(samples[i],
 // seeds[i], fault) call — batching amortizes the cell instantiation,
 // engine construction, chain assembly and trace allocations, never the
 // noise streams. A failed sample yields a zero Panel and its error
 // without disturbing its neighbours.
 //
 //advdiag:hotpath
-func (e *Executor) RunBatch(samples []map[string]float64, seeds []uint64, fault *Fouling) ([]Panel, []error) {
-	if len(samples) != len(seeds) {
+func (e *Executor) RunBatch(samples []map[string]float64, seeds []uint64, fault *Fouling, panels []Panel, errs []error) {
+	if len(seeds) != len(samples) || len(panels) != len(samples) || len(errs) != len(samples) {
 		//advdiag:allow hot-fmt caller-contract panic: unreachable in a correct build, never on the panel path
-		panic(fmt.Sprintf("runtime: RunBatch got %d samples but %d seeds", len(samples), len(seeds)))
+		panic(fmt.Sprintf("runtime: RunBatch got %d samples, %d seeds, %d panel and %d error slots",
+			len(samples), len(seeds), len(panels), len(errs)))
 	}
-	panels := make([]Panel, len(samples))
-	errs := make([]error, len(samples))
 	s := e.getScratch()
 	for i := range samples {
 		panels[i], errs[i] = e.runWith(s, samples[i], seeds[i], fault)
 	}
 	e.putScratch(s)
-	return panels, errs
 }
 
 func (e *Executor) getScratch() *panelScratch {

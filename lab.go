@@ -1,7 +1,6 @@
 package advdiag
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,10 +10,6 @@ import (
 	rt "advdiag/internal/runtime"
 	"advdiag/internal/schedule"
 )
-
-// ErrLabClosed is the sentinel a closed Lab returns: Submit after Close
-// and a second Close both report it (test with errors.Is).
-var ErrLabClosed = errors.New("advdiag: lab is closed")
 
 // Sample is one specimen queued for a panel: an identifier (patient,
 // tube, time point) plus the target concentrations in mM.
@@ -30,10 +25,10 @@ type Sample struct {
 
 // PanelOutcome is the Lab's result for one sample.
 type PanelOutcome struct {
-	// Index is the sample's position in the batch (RunPanels) or its
-	// submission order (Submit). It also seeds the panel's noise
-	// stream, which is why outcomes are byte-identical at any worker
-	// count — and, in a Fleet, at any shard count.
+	// Index is the sample's position in the batch (RunPanels) or, in a
+	// Fleet, its fleet-wide submission order. It also seeds the panel's
+	// noise stream, which is why outcomes are byte-identical at any
+	// worker count — and, in a Fleet, at any shard count.
 	Index int
 	// ID echoes the sample ID.
 	ID string
@@ -54,12 +49,12 @@ type PanelOutcome struct {
 	WallSeconds float64
 }
 
-// Lab is a reusable, concurrent panel-execution service over a designed
-// Platform — the run-time counterpart of the design-time explorer. A
-// Lab precomputes the platform's per-electrode calibration state once
-// (unit voltammetric templates, Michaelis–Menten inversion constants)
-// and then serves panels from a bounded worker pool. All execution
-// logic lives in internal/runtime; the Lab adds batching, streaming,
+// Lab is a reusable, concurrent panel runner over a designed Platform —
+// the run-time counterpart of the design-time explorer. A Lab
+// precomputes the platform's per-electrode calibration state once (unit
+// voltammetric templates, Michaelis–Menten inversion constants) and
+// then runs batches of panels on a bounded set of workers. All
+// execution logic lives in internal/runtime; the Lab adds batching,
 // scheduling and statistics.
 //
 // Concurrency model: every panel run builds its own measurement engine
@@ -70,17 +65,16 @@ type PanelOutcome struct {
 // byte-identical at any worker count — PanelResult.Fingerprint proves
 // it.
 //
-// A Lab has two entry points: RunPanels for a batch with results in
-// sample order, and Submit/Results for streaming workloads where
-// samples arrive over time. For dispatching across several platforms,
-// see Fleet.
+// A Lab is batch-only: RunPanels returns results in sample order. For
+// samples that arrive over time (Submit/Results), use a Fleet — a
+// one-shard Fleet over the same platform yields the same outcomes.
 type Lab struct {
 	p       *Platform
 	workers int
 	seed    uint64
 	plan    *schedule.Plan
 
-	// Aggregate stats.
+	// statMu guards the aggregate stats below.
 	statMu          sync.Mutex
 	panels          uint64
 	failures        uint64
@@ -88,16 +82,6 @@ type Lab struct {
 	monitorFailures uint64
 	firstStart      time.Time
 	lastEnd         time.Time
-
-	// Streaming state. submitWG spans each Submit from its closed-check
-	// to the pool handoff, so Close cannot shut the pool down between
-	// the two (that window would otherwise panic the submitter).
-	streamMu  sync.Mutex
-	submitWG  sync.WaitGroup
-	pool      *conc.Pool
-	results   chan PanelOutcome
-	submitted int
-	closed    bool
 }
 
 // LabOption customizes a Lab.
@@ -142,11 +126,6 @@ func NewLab(p *Platform, opts ...LabOption) (*Lab, error) {
 // Workers reports the pool size.
 func (l *Lab) Workers() int { return l.workers }
 
-// runOne executes one panel at batch/submission position idx.
-func (l *Lab) runOne(idx int, s Sample) PanelOutcome {
-	return l.runIndexed(idx, idx, s, nil)
-}
-
 // labBatchMax bounds how many panels one coalesced batch runs over a
 // single executor scratch. Large enough to amortize the scratch's cell,
 // engine and chain reuse across a whole queue burst, small enough that
@@ -154,34 +133,37 @@ func (l *Lab) runOne(idx int, s Sample) PanelOutcome {
 // time.
 const labBatchMax = 16
 
-// labBatchJob is one slot of a coalesced panel batch: the seed index
-// picks the sample's deterministic noise stream, the schedule index its
-// slot on the instrument timeline (they coincide for plain Lab batches
-// and diverge on Fleet shards).
-type labBatchJob struct {
-	seedIdx, schedIdx int
-	sample            Sample
-}
-
-// runBatch executes a coalesced run of panels over one executor scratch
-// and writes the outcome for jobs[i] into out[i]. Every panel is
-// bit-identical to the equivalent runIndexed call (the batch kernel
-// reuses allocations, never noise streams); only the bookkeeping
-// differs: the aggregate stats advance once per batch, and WallSeconds
-// reports the batch's wall-clock cost spread evenly across its panels,
-// since the shared scratch makes per-panel attribution meaningless.
-func (l *Lab) runBatch(jobs []labBatchJob, fault *rt.Fouling, out []PanelOutcome) {
+// runBatch executes a coalesced run of at most labBatchMax panel jobs
+// over one executor scratch and writes the outcome for jobs[i] into
+// out[i]. Each job's seedIdx picks its deterministic noise stream (in a
+// Fleet the fleet-wide submission index, which is what makes results
+// independent of sharding) and its schedIdx its slot on this platform's
+// instrument timeline. fault, when non-nil, is an injected electrode
+// fouling (a Fleet shard with a FaultFouledElectrode armed); direct Lab
+// traffic always passes nil.
+//
+// Every panel is bit-identical to a standalone run of the same sample
+// and seed (the batch kernel reuses allocations, never noise streams);
+// the aggregate stats advance once per batch, and WallSeconds reports
+// the batch's wall-clock cost spread evenly across its panels, since
+// the shared scratch makes per-panel attribution meaningless.
+func (l *Lab) runBatch(jobs []fleetJob, fault *rt.Fouling, out []PanelOutcome) {
+	var (
+		concs  [labBatchMax]map[string]float64
+		seeds  [labBatchMax]uint64
+		panels [labBatchMax]rt.Panel
+		errs   [labBatchMax]error
+	)
+	n := len(jobs)
 	start := time.Now()
-	concs := make([]map[string]float64, len(jobs))
-	seeds := make([]uint64, len(jobs))
 	for i, j := range jobs {
 		concs[i] = j.sample.Concentrations
 		seeds[i] = rt.SampleSeed(l.seed, j.seedIdx)
 	}
-	panels, errs := l.p.exec.RunBatch(concs, seeds, fault)
+	l.p.exec.RunBatch(concs[:n], seeds[:n], fault, panels[:n], errs[:n])
 	end := time.Now()
 
-	per := end.Sub(start).Seconds() / float64(len(jobs))
+	per := end.Sub(start).Seconds() / float64(n)
 	var failures uint64
 	for i, j := range jobs {
 		o := PanelOutcome{
@@ -200,7 +182,7 @@ func (l *Lab) runBatch(jobs []labBatchJob, fault *rt.Fouling, out []PanelOutcome
 	}
 
 	l.statMu.Lock()
-	l.panels += uint64(len(jobs))
+	l.panels += uint64(n)
 	l.failures += failures
 	if l.firstStart.IsZero() || start.Before(l.firstStart) {
 		l.firstStart = start
@@ -209,44 +191,6 @@ func (l *Lab) runBatch(jobs []labBatchJob, fault *rt.Fouling, out []PanelOutcome
 		l.lastEnd = end
 	}
 	l.statMu.Unlock()
-}
-
-// runIndexed executes one panel and updates the aggregate stats.
-// seedIdx picks the sample's deterministic noise stream (in a Fleet it
-// is the fleet-wide submission index, which is what makes results
-// independent of sharding); schedIdx is the panel's position on this
-// platform's instrument timeline. fault, when non-nil, is an injected
-// electrode fouling (a Fleet shard with a FaultFouledElectrode armed);
-// direct Lab traffic always passes nil.
-func (l *Lab) runIndexed(seedIdx, schedIdx int, s Sample, fault *rt.Fouling) PanelOutcome {
-	start := time.Now()
-	res, err := l.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(l.seed, seedIdx), fault)
-	end := time.Now()
-
-	l.statMu.Lock()
-	l.panels++
-	if err != nil {
-		l.failures++
-	}
-	if l.firstStart.IsZero() || start.Before(l.firstStart) {
-		l.firstStart = start
-	}
-	if end.After(l.lastEnd) {
-		l.lastEnd = end
-	}
-	l.statMu.Unlock()
-
-	out := PanelOutcome{
-		Index:                 seedIdx,
-		ID:                    s.ID,
-		Err:                   err,
-		ScheduledStartSeconds: float64(schedIdx) * l.plan.CycleTime(),
-		WallSeconds:           end.Sub(start).Seconds(),
-	}
-	if err == nil {
-		out.Result = panelResult(res)
-	}
-	return out
 }
 
 // RunPanels measures a batch of samples on the worker pool and returns
@@ -279,91 +223,19 @@ func (l *Lab) RunPanels(samples []Sample) []PanelOutcome {
 		if hi > n {
 			hi = n
 		}
-		jobs := make([]labBatchJob, hi-lo)
-		for j := range jobs {
-			jobs[j] = labBatchJob{seedIdx: lo + j, schedIdx: lo + j, sample: samples[lo+j]}
+		var jobs [labBatchMax]fleetJob
+		for j := lo; j < hi; j++ {
+			jobs[j-lo] = fleetJob{seedIdx: j, schedIdx: j, sample: samples[j]}
 		}
-		l.runBatch(jobs, nil, out[lo:hi])
+		l.runBatch(jobs[:hi-lo], nil, out[lo:hi])
 	})
 	return out
 }
 
-// Submit queues one sample on the streaming pool, starting the pool on
-// first use. It blocks while every worker is busy and the result buffer
-// is full (natural backpressure); consume Results concurrently.
-// Submitting after Close returns ErrLabClosed.
-func (l *Lab) Submit(s Sample) error {
-	l.streamMu.Lock()
-	if l.closed {
-		l.streamMu.Unlock()
-		return ErrLabClosed
-	}
-	if l.pool == nil {
-		l.pool = conc.NewPool(l.workers)
-	}
-	l.ensureResultsLocked()
-	idx := l.submitted
-	l.submitted++
-	pool, results := l.pool, l.results
-	l.submitWG.Add(1)
-	l.streamMu.Unlock()
-
-	defer l.submitWG.Done()
-	pool.Submit(func() { results <- l.runOne(idx, s) })
-	return nil
-}
-
-// Results returns the streaming output channel. Outcomes arrive in
-// completion order (each carries its submission Index); the channel is
-// closed by Close after every submitted sample has been measured.
-func (l *Lab) Results() <-chan PanelOutcome {
-	l.streamMu.Lock()
-	defer l.streamMu.Unlock()
-	l.ensureResultsLocked()
-	return l.results
-}
-
-// ensureResultsLocked creates the streaming output channel exactly once
-// (callers hold streamMu); Submit and Results must agree on the same
-// channel no matter which is called first.
-func (l *Lab) ensureResultsLocked() {
-	if l.results == nil {
-		l.results = make(chan PanelOutcome, 4*l.workers)
-		if l.closed {
-			close(l.results)
-		}
-	}
-}
-
-// Close stops accepting submissions, waits for in-flight panels, and
-// closes the Results channel. The first Close returns nil; every later
-// Close returns ErrLabClosed (it performs no work — the first call
-// already owns the shutdown). Close is safe against concurrent Submit
-// calls: a Submit that already passed its closed-check completes
-// normally, later ones get ErrLabClosed. The caller must keep draining
-// Results until Close returns (or run Close from the producer while a
-// consumer reads).
-func (l *Lab) Close() error {
-	l.streamMu.Lock()
-	if l.closed {
-		l.streamMu.Unlock()
-		return ErrLabClosed
-	}
-	l.closed = true
-	pool, results := l.pool, l.results
-	l.streamMu.Unlock()
-
-	// Wait out submissions caught between their closed-check and the
-	// pool handoff before shutting the pool down.
-	l.submitWG.Wait()
-	if pool != nil {
-		pool.Close()
-	}
-	if results != nil {
-		close(results)
-	}
-	return nil
-}
+// Close is a no-op that returns nil: a Lab holds no goroutines, queues
+// or other resources between RunPanels calls. It is safe to call any
+// number of times.
+func (l *Lab) Close() error { return nil }
 
 // LabStats is an aggregate snapshot of a Lab's service counters.
 type LabStats struct {

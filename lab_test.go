@@ -1,13 +1,11 @@
 package advdiag_test
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"advdiag"
 )
@@ -121,114 +119,69 @@ func TestLabRepeatRunsAreIdentical(t *testing.T) {
 	}
 }
 
-// TestLabStreamingMatchesBatch: Submit/Results must yield the same
-// bytes as RunPanels for the same submission order, regardless of
-// completion order.
-func TestLabStreamingMatchesBatch(t *testing.T) {
+// TestOneShardFleetMatchesLab pins "a one-shard Fleet behaves exactly
+// like its Lab": the same cohort streamed through a one-shard Fleet
+// (Submit/Results) matches Lab.RunPanels outcome for outcome — index,
+// ID, error, instrument-timeline slot and panel fingerprint — both on a
+// healthy shard, where queued jobs coalesce into batches, and on a slow
+// shard, whose per-job dispatch path runs each panel as a batch of one.
+func TestOneShardFleetMatchesLab(t *testing.T) {
 	p := labPlatform(t)
 	samples := labCohort(12)
+	samples[5].Concentrations = map[string]float64{"glucose": -1} // invalid
 
-	batchLab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
+	lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprints(t, batchLab.RunPanels(samples))
+	want := lab.RunPanels(samples)
 
-	streamLab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opts []advdiag.FleetOption
+	}{
+		{"healthy", nil},
+		{"slow", []advdiag.FleetOption{advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
+			{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: time.Millisecond},
+		}})}},
 	}
-	done := make(chan []advdiag.PanelOutcome)
-	go func() {
-		var outs []advdiag.PanelOutcome
-		for o := range streamLab.Results() {
-			outs = append(outs, o)
-		}
-		done <- outs
-	}()
-	for _, s := range samples {
-		if err := streamLab.Submit(s); err != nil {
-			t.Error(err)
-		}
-	}
-	streamLab.Close()
-	outs := <-done
-	if len(outs) != len(samples) {
-		t.Fatalf("streamed %d outcomes for %d samples", len(outs), len(samples))
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Index < outs[j].Index })
-	got := fingerprints(t, outs)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("streamed sample %d differs from batch", i)
-		}
-	}
-	if err := streamLab.Submit(samples[0]); !errors.Is(err, advdiag.ErrLabClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrLabClosed", err)
-	}
-}
-
-// TestLabCloseSubmitRace hammers the documented shutdown contract
-// under the race detector: concurrent Submits against two concurrent
-// Closes must never panic, every accepted sample must surface on
-// Results exactly once, and every rejection must be ErrLabClosed.
-func TestLabCloseSubmitRace(t *testing.T) {
-	p := labPlatform(t)
-	sample := labCohort(1)[0]
-	for round := 0; round < 4; round++ {
-		lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var delivered int64
-		consumed := make(chan struct{})
-		go func() {
-			defer close(consumed)
-			for range lab.Results() {
-				atomic.AddInt64(&delivered, 1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := advdiag.NewFleet([]*advdiag.Platform{p}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-
-		var accepted int64
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
 			go func() {
-				defer wg.Done()
-				<-start
-				for i := 0; i < 8; i++ {
-					switch err := lab.Submit(sample); {
-					case err == nil:
-						atomic.AddInt64(&accepted, 1)
-					case !errors.Is(err, advdiag.ErrLabClosed):
-						t.Errorf("Submit returned %v, want nil or ErrLabClosed", err)
+				for _, s := range samples {
+					if err := f.Submit(s); err != nil {
+						t.Error(err)
 					}
 				}
+				if err := f.Close(); err != nil {
+					t.Error(err)
+				}
 			}()
-		}
-		closeErrs := make(chan error, 2)
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				closeErrs <- lab.Close()
-			}()
-		}
-		close(start)
-		wg.Wait()
-		<-consumed
-		a, b := <-closeErrs, <-closeErrs
-		if (a == nil) == (b == nil) {
-			t.Fatalf("concurrent Closes returned (%v, %v); exactly one must win", a, b)
-		}
-		if !errors.Is(a, advdiag.ErrLabClosed) && !errors.Is(b, advdiag.ErrLabClosed) {
-			t.Fatalf("losing Close must return ErrLabClosed (got %v, %v)", a, b)
-		}
-		if got := atomic.LoadInt64(&delivered); got != accepted {
-			t.Fatalf("round %d: %d samples accepted but %d outcomes delivered", round, accepted, got)
-		}
+			var got []advdiag.PanelOutcome
+			for o := range f.Results() {
+				got = append(got, o)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("fleet delivered %d outcomes for %d samples", len(got), len(want))
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i].Index < got[j].Index })
+			for i, w := range want {
+				g := got[i]
+				if g.Index != w.Index || g.ID != w.ID || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) ||
+					g.ScheduledStartSeconds != w.ScheduledStartSeconds {
+					t.Fatalf("outcome %d: fleet (%d %q %v %g) != lab (%d %q %v %g)", i,
+						g.Index, g.ID, g.Err, g.ScheduledStartSeconds,
+						w.Index, w.ID, w.Err, w.ScheduledStartSeconds)
+				}
+				if w.Err == nil && g.Result.Fingerprint() != w.Result.Fingerprint() {
+					t.Fatalf("outcome %d: fleet fingerprint differs from lab", i)
+				}
+			}
+		})
 	}
 }
 
@@ -290,12 +243,6 @@ func TestLabValidation(t *testing.T) {
 		t.Fatalf("empty batch produced %d outcomes", len(outs))
 	}
 	if err := lab.Close(); err != nil {
-		t.Fatalf("first Close = %v", err)
-	}
-	if err := lab.Close(); !errors.Is(err, advdiag.ErrLabClosed) {
-		t.Fatalf("second Close = %v, want ErrLabClosed", err)
-	}
-	if _, ok := <-lab.Results(); ok {
-		t.Fatal("Results after Close must be closed")
+		t.Fatalf("Close = %v", err)
 	}
 }
